@@ -16,6 +16,7 @@ from math import factorial, log, sqrt
 from typing import Callable, Iterable, Optional
 
 from funcbatch.counting import LabellingTable
+from funcbatch.gf2 import MAX_DIMENSION
 
 EXACT = "exact"
 PRODUCT = "product"
@@ -36,8 +37,8 @@ class CodeParams:
     r: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= 24:
-            raise ValueError(f"k must be in 1..24, got {self.k}")
+        if not 1 <= self.k <= MAX_DIMENSION:
+            raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {self.k}")
         if self.t < 1:
             raise ValueError("t must be positive")
         if self.r < 1:

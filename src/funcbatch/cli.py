@@ -263,7 +263,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         queries = (_format_query(w, matrix.k, args.pretty) for w in verdict.counterexample)
         print(" ".join(queries))
     print(
-        f"checked {verdict.assignments_checked} batches in {verdict.wall_time:.3f}s",
+        f"checked {verdict.assignments_checked} batches in {verdict.wall_time:.3f}s"
+        f" (searched {verdict.batches_searched})",
         file=sys.stderr,
     )
     if verdict.status == codecheck.HOLDS:

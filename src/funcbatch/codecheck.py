@@ -6,16 +6,31 @@ search to minimal recovery sets loses nothing: any recovery set of size at
 most r contains a minimal one of size at most r.  Batches are enumerated as
 sorted multisets, since disjoint-assignment existence is invariant under
 reordering the queries.
+
+Symmetry reduction.  Call a matrix invariant when every nonzero k-bit
+vector appears among its columns equally often, at least once; zero columns
+are ignored.  Simplex and doubled simplex matrices are invariant, in any
+column order.  Every A in GL(k,2) then maps the columns onto a permutation of
+themselves, so a batch is served exactly when its image under A is, and one
+batch per orbit decides the whole orbit.  The sweep checks only the
+representatives: sorted multisets in which every entry outside the span V of
+the entries before it is the least positive integer outside V.  The
+lex-least member c of each orbit is one: were some such entry c_i larger
+than that least integer m, a map fixing V and sending c_i to m would give a
+lex-smaller member of the orbit.  So the first failing representative is the
+lex-least counterexample, and every multiset ranked below the next unchecked
+representative is settled.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from funcbatch.gf2 import BitVec, GeneratorMatrix, in_span, rank
 
@@ -134,12 +149,20 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int],
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a verification sweep."""
+    """Outcome of a verification sweep.
+
+    assignments_checked counts the screened batches plus the length of the
+    lex prefix of all multisets that the sweep settled (at jobs=1; parallel
+    runs add up every chunk's prefix).  batches_searched counts the
+    find_disjoint_assignment calls, screen included; it is smaller only
+    when the symmetry reduction settles batches without searching them.
+    """
 
     status: str
     counterexample: Optional[tuple[int, ...]]
     assignments_checked: int
     wall_time: float
+    batches_searched: int = 0
 
     @property
     def holds(self) -> bool:
@@ -200,24 +223,115 @@ def _multisets_from(first: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def _scan_chunk(catalog: RecoveryCatalog, start: int, count: int, q: int, t: int,
+# (rank, multiset) pairs in increasing rank order
+Ranked = Iterable[tuple[int, tuple[int, ...]]]
+
+
+def _is_invariant(matrix: GeneratorMatrix) -> bool:
+    """Every nonzero vector is a column equally often, at least once; zero columns ignored."""
+    q = (1 << matrix.k) - 1
+    nonzero = sorted(c for c in matrix.cols if c)
+    copies = len(nonzero) // q
+    return copies > 0 and nonzero == [v for v in range(1, q + 1) for _ in range(copies)]
+
+
+def _span_add(span: int, v: int) -> int:
+    """Subspace as a bitmask (bit x set for each member x) extended by the vector v."""
+    out = span
+    rest = span
+    while rest:
+        low = rest & -rest
+        out |= 1 << ((low.bit_length() - 1) ^ v)
+        rest ^= low
+    return out
+
+
+def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rank, multiset) of every representative over 1..q, in lex order.
+
+    A representative is a sorted multiset in which each entry outside the
+    span of the entries before it is the least positive integer outside
+    that span.  Lex successor as in _multisets_from: raise the rightmost
+    entry that has a larger allowed value and repeat that value to the end,
+    which stays allowed because it lies in the span from then on.
+    """
+    batch = [1] * t
+    # span[i] and base[i]: span of batch[:i], and rank of the least multiset
+    # with prefix batch[:i]
+    span = [0b1] + [0b11] * t
+    base = [0] * (t + 1)
+    while True:
+        yield base[t], tuple(batch)
+        for i in range(t - 1, -1, -1):
+            x, v = batch[i], span[i]
+            above = v >> (x + 1)
+            u = x + (above & -above).bit_length() if above else q + 1
+            free = ((v + 1) & ~v).bit_length() - 1
+            if x < free < u:
+                u = free
+            if u <= q:
+                break
+        else:
+            return
+        m = t - i
+        prev = batch[i - 1] if i else 1
+        rank = base[i] + comb(q - prev + m, m) - comb(q - u + m, m)
+        grown = v if v >> u & 1 else _span_add(v, u)
+        for j in range(i, t):
+            batch[j] = u
+            span[j + 1] = grown
+            base[j + 1] = rank
+
+
+def _chunks(total: int, jobs: int, reps: Optional[Ranked],
+            ) -> list[tuple[int, int, Optional[Ranked]]]:
+    """Split ranks 0..total-1 into at most jobs contiguous (lo, hi, representatives) ranges.
+
+    The full sweep (reps None) splits ranks evenly; the reduced sweep splits
+    the representatives evenly, since they crowd the low ranks.
+    """
+    if jobs <= 1:
+        return [(0, total, reps)]
+    if reps is None:
+        size = -(-total // jobs)
+        return [(lo, min(lo + size, total), None) for lo in range(0, total, size)]
+    reps = list(reps)
+    size = -(-len(reps) // jobs)
+    parts = [reps[i:i + size] for i in range(0, len(reps), size)]
+    edges = [0] + [part[0][0] for part in parts[1:]] + [total]
+    return [(edges[i], edges[i + 1], part) for i, part in enumerate(parts)]
+
+
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Processes to start: never more than requested, than CPUs, or than chunks."""
+    return max(1, min(jobs, os.cpu_count() or 1, chunks))
+
+
+def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
+                reps: Optional[Ranked],
                 deadline: Optional[float], max_batches: Optional[int],
-                ) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Scan count multisets from rank start; returns (checked, failure, out_of_budget)."""
-    checked = 0
-    if count <= 0:
-        return checked, None, False
-    it = _multisets_from(_unrank_multiset(start, q, t), q)
-    for _ in range(count):
-        if max_batches is not None and checked >= max_batches:
-            return checked, None, True
+                ) -> tuple[int, int, Optional[tuple[int, ...]], bool]:
+    """Search the lex range of ranks lo..hi-1; returns (settled, searched, failure, out_of_budget).
+
+    reps None searches every multiset in the range; otherwise only the given
+    (rank, representative) pairs, and the multisets ranked between them
+    count as settled.  settled is the length of the settled prefix of the
+    range, capped at max_batches.
+    """
+    limit = hi - lo if max_batches is None else min(hi - lo, max_batches)
+    if reps is None:
+        reps = zip(range(lo, hi), _multisets_from(_unrank_multiset(lo, q, t), q)) if lo < hi else ()
+    searched = 0
+    for rank, batch in reps:
+        done = rank - lo
+        if done >= limit:
+            break
         if deadline is not None and time.monotonic() > deadline:
-            return checked, None, True
-        batch = next(it)
-        checked += 1
+            return done, searched, None, True
+        searched += 1
         if find_disjoint_assignment(catalog, batch) is None:
-            return checked, batch, False
-    return checked, None, False
+            return done + 1, searched, batch, False
+    return limit, searched, None, limit < hi - lo
 
 
 def verify(matrix: GeneratorMatrix, t: int, r: int, *,
@@ -233,6 +347,20 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     deterministic=True the screen is skipped and a failing sweep reports the
     lexicographically least counterexample.  Exhausting either budget yields
     an undecided verdict instead of silent truncation.
+
+    When every nonzero vector is a column equally often (zero columns
+    ignored), GL(k,2) permutes the columns and the sweep searches only one
+    representative per orbit: multisets whose every entry outside the span
+    of the entries before it is the least positive integer outside that
+    span.  Each orbit's lex-least member has this form, since otherwise a
+    map fixing that span would send the entry lower.  So the first failing
+    representative is the lex-least counterexample, and both modes take
+    this path with the same verdicts, counterexamples and counts as the
+    full sweep.
+
+    jobs splits the sweep into that many contiguous lex ranges, run by at
+    most os.cpu_count() processes; budget_batches is shared among them by
+    floor division.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -240,7 +368,10 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     deadline = start_time + budget_seconds if budget_seconds is not None else None
     catalog = build_catalog(matrix, r)
     q = (1 << matrix.k) - 1
-    checked = 0
+    checked = searched = 0
+
+    def verdict(status: str, counterexample: Optional[tuple[int, ...]] = None) -> Verdict:
+        return Verdict(status, counterexample, checked, time.monotonic() - start_time, searched)
 
     def exhausted() -> bool:
         if budget_batches is not None and checked >= budget_batches:
@@ -250,56 +381,37 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     if screen and not deterministic:
         for w in sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v)):
             if exhausted():
-                return Verdict(UNDECIDED, None, checked, time.monotonic() - start_time)
+                return verdict(UNDECIDED)
             batch = (w,) * t
             checked += 1
+            searched += 1
             if find_disjoint_assignment(catalog, batch) is None:
-                return Verdict(FAILS, batch, checked, time.monotonic() - start_time)
+                return verdict(FAILS, batch)
 
     total = _multiset_count(q, t)
-    remaining_budget = None if budget_batches is None else max(0, budget_batches - checked)
-
-    if jobs <= 1:
-        scanned, failure, cut_off = _scan_chunk(catalog, 0, total, q, t, deadline, remaining_budget)
-        checked += scanned
-        if failure is not None:
-            return Verdict(FAILS, failure, checked, time.monotonic() - start_time)
-        if cut_off:
-            return Verdict(UNDECIDED, None, checked, time.monotonic() - start_time)
-        return Verdict(HOLDS, None, checked, time.monotonic() - start_time)
-
-    # contiguous lex ranges per worker; the earliest failing range carries
-    # the lexicographically least counterexample
-    chunk = (total + jobs - 1) // jobs
-    tasks = []
-    for w in range(jobs):
-        lo = w * chunk
-        if lo >= total:
-            break
-        size = min(chunk, total - lo)
-        share = None if remaining_budget is None else max(0, remaining_budget // jobs)
-        tasks.append((lo, size, share))
-    results = []
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        futures = [
-            pool.submit(_scan_chunk, catalog, lo, size, q, t, deadline, share)
-            for (lo, size, share) in tasks
-        ]
-        for fut in futures:
-            results.append(fut.result())
-    cut_off_any = False
+    reps = _representatives(q, t) if _is_invariant(matrix) else None
+    share = None if budget_batches is None else max(0, budget_batches - checked) // max(jobs, 1)
+    tasks = [(catalog, lo, hi, q, t, part, deadline, share)
+             for lo, hi, part in _chunks(total, jobs, reps)]
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
+        results = [_scan_chunk(*task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_scan_chunk, *task) for task in tasks]
+            results = [fut.result() for fut in futures]
+    # the earliest failing range carries the lexicographically least counterexample
     failure = None
-    for scanned, fail_batch, cut_off in results:
-        checked += scanned
+    cut_off_any = False
+    for settled, chunk_searched, fail_batch, cut_off in results:
+        checked += settled
+        searched += chunk_searched
         cut_off_any = cut_off_any or cut_off
         if fail_batch is not None and failure is None:
             failure = fail_batch
-    elapsed = time.monotonic() - start_time
     if failure is not None:
-        return Verdict(FAILS, failure, checked, elapsed)
-    if cut_off_any:
-        return Verdict(UNDECIDED, None, checked, elapsed)
-    return Verdict(HOLDS, None, checked, elapsed)
+        return verdict(FAILS, failure)
+    return verdict(UNDECIDED if cut_off_any else HOLDS)
 
 
 # query pair -> disjoint recovery sets (as masks) for the [3,2,2,2] code with

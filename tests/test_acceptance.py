@@ -10,8 +10,6 @@ from collections import Counter
 from itertools import product
 from math import factorial
 
-import pytest
-
 from funcbatch import bounds
 from funcbatch.bounds import (
     chain_bound_table,
@@ -164,7 +162,6 @@ def test_criterion_6_verifier_fixtures():
     _report(6, "verifier fixtures", started)
 
 
-@pytest.mark.stretch
 def test_criterion_6_stretch_simplex4():
     started = time.monotonic()
     v = verify(simplex(4), 8, 2, jobs=2)

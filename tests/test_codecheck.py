@@ -1,16 +1,22 @@
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from funcbatch import codecheck
 from funcbatch.bounds import necessary_condition
 from funcbatch.codecheck import (
     FAILS,
     HOLDS,
     UNDECIDED,
+    _is_invariant,
     _multiset_count,
     _multisets_from,
     _rank_multiset,
+    _representatives,
     _unrank_multiset,
+    _worker_count,
     build_catalog,
     double_simplex,
     find_disjoint_assignment,
@@ -268,7 +274,130 @@ def test_multiset_successor_iteration():
     assert got == expected
 
 
-@pytest.mark.stretch
 def test_verify_simplex4_batch8_stretch():
     v = verify(simplex(4), 8, 2, jobs=2)
     assert v.status == HOLDS
+
+
+@pytest.mark.stretch
+def test_verify_simplex4_batch8_full_sweep_stretch():
+    # the extra column breaks the symmetry, so every multiset is searched
+    m = GeneratorMatrix(4, tuple(range(1, 16)) + (1,))
+    v = verify(m, 8, 2, jobs=2)
+    assert v.status == HOLDS
+    assert v.assignments_checked == v.batches_searched == 15 + 319_770
+
+
+def full_sweep(matrix, t, r, deterministic, budget=None):
+    """Reference sweep: screen unless deterministic, then every multiset in lex order."""
+    cat = build_catalog(matrix, r)
+    q = (1 << matrix.k) - 1
+    screen = [] if deterministic else [
+        (w,) * t for w in sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))]
+    checked = 0
+    for batch in chain(screen, combinations_with_replacement(range(1, q + 1), t)):
+        if budget is not None and checked >= budget:
+            return UNDECIDED, None, checked
+        checked += 1
+        if find_disjoint_assignment(cat, batch) is None:
+            return FAILS, batch, checked
+    return HOLDS, None, checked
+
+
+@st.composite
+def invariant_cases(draw):
+    k = draw(st.integers(1, 3))
+    cols = list(range(1, 1 << k)) * draw(st.integers(1, 2)) + [0] * draw(st.integers(0, 2))
+    cols = draw(st.permutations(cols))
+    return GeneratorMatrix(k, tuple(cols)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(invariant_cases(), st.booleans(), st.none() | st.integers(0, 60))
+def test_reduced_sweep_matches_full_sweep(case, deterministic, budget):
+    matrix, t, r = case
+    assert _is_invariant(matrix)
+    v = verify(matrix, t, r, deterministic=deterministic, budget_batches=budget)
+    assert (v.status, v.counterexample, v.assignments_checked) == full_sweep(
+        matrix, t, r, deterministic, budget)
+    assert v.batches_searched <= v.assignments_checked
+
+
+@settings(max_examples=25, deadline=None)
+@given(invariant_cases(), st.booleans())
+def test_reduced_sweep_parallel_matches_full_sweep(case, deterministic):
+    matrix, t, r = case
+    v = verify(matrix, t, r, deterministic=deterministic, jobs=2)
+    assert (v.status, v.counterexample) == full_sweep(matrix, t, r, deterministic)[:2]
+
+
+def gl_images(k):
+    """Every invertible k x k map over GF(2), as the images of the unit vectors."""
+    for images in product(range(1, 1 << k), repeat=k):
+        if rank(GeneratorMatrix(k, images), column_mask(range(k))) == k:
+            yield images
+
+
+def apply_map(images, w):
+    out = 0
+    for i, image in enumerate(images):
+        if w >> i & 1:
+            out ^= image
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_representatives_hold_every_orbit_minimum(k):
+    q = (1 << k) - 1
+    maps = list(gl_images(k))
+    for t in range(1, 5):
+        reps = list(_representatives(q, t))
+        assert [rank for rank, _ in reps] == [_rank_multiset(b, q) for _, b in reps]
+        batches = [b for _, b in reps]
+        assert all(a < b for a, b in zip(batches, batches[1:]))
+        minima = {
+            min(tuple(sorted(apply_map(g, w) for w in batch)) for g in maps)
+            for batch in combinations_with_replacement(range(1, q + 1), t)
+        }
+        assert minima <= set(batches)
+
+
+def test_representative_counts():
+    assert sum(1 for _ in _representatives(15, 8)) == 3551
+    assert sum(1 for _ in _representatives(127, 2)) == 2
+
+
+def test_invariance_ignores_order_and_zero_columns():
+    assert _is_invariant(simplex(3)) and _is_invariant(double_simplex(2))
+    assert _is_invariant(GeneratorMatrix(2, (3, 0, 1, 2, 0)))
+    assert not _is_invariant(GeneratorMatrix(2, (1, 2, 3, 1)))
+    assert not _is_invariant(GeneratorMatrix(2, (1, 2)))
+    assert not _is_invariant(GeneratorMatrix(2, (0, 0)))
+
+
+def test_reduced_sweep_searches_representatives_only():
+    v = verify(simplex(3), 4, 2)
+    assert v.assignments_checked == 7 + 210
+    assert v.batches_searched == 7 + 14
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("matrix,t", [
+    (GeneratorMatrix(3, (1, 1, 0, 6, 7, 7, 2)), 3),
+    (GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1)), 3),
+    (GeneratorMatrix(2, (1, 2, 3, 1, 2)), 2),
+])
+def test_full_sweep_searches_every_checked_batch(matrix, t, deterministic):
+    assert not _is_invariant(matrix)
+    v = verify(matrix, t, 2, deterministic=deterministic)
+    assert v.batches_searched == v.assignments_checked
+
+
+def test_worker_count_clamp(monkeypatch):
+    monkeypatch.setattr(codecheck.os, "cpu_count", lambda: 2)
+    assert _worker_count(8, 8) == 2
+    assert _worker_count(2, 1) == 1
+    assert _worker_count(1, 4) == 1
+    assert _worker_count(0, 4) == 1
+    monkeypatch.setattr(codecheck.os, "cpu_count", lambda: None)
+    assert _worker_count(4, 4) == 1
