@@ -38,7 +38,6 @@ from funcbatch.codecheck import (
     find_disjoint_assignment,
     simplex,
     verify,
-    verify_worked_example,
 )
 from funcbatch.counting import (
     EgfPoly,
@@ -110,5 +109,4 @@ __all__ = [
     "rank",
     "simplex",
     "verify",
-    "verify_worked_example",
 ]

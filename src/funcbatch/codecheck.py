@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import os
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
-from funcbatch.gf2 import BitVec, GeneratorMatrix, in_span, rank
+from funcbatch.gf2 import GeneratorMatrix
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -69,29 +70,47 @@ class RecoveryCatalog:
 
 
 def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
-    """Enumerate minimal recovery sets by size; cost is sum of C(n, s) for s <= r."""
+    """Enumerate the minimal recovery sets of size <= r for every query.
+
+    Over GF(2) a column set is a minimal recovery set for its xor exactly
+    when its columns are independent, so the catalog is every independent
+    set of at most r columns, keyed by its xor.  They are grown by one
+    depth-first extension over column indices, largest index first: each
+    prefix carries its mask, its running xor and its span as a set of
+    vectors, and takes a smaller index only when that column lies outside
+    the span.  The span test also rejects zero and repeated columns, and a
+    dependent prefix is never extended.  The cost is therefore set by the
+    independent prefixes of fewer than r columns, one span lookup for each
+    column below a prefix's lowest index, and not by the sum of C(n, s)
+    over s <= r: no subset is ranked from scratch, and none of the subsets
+    that contain a dependent prefix is visited.
+
+    Indices are tried in increasing order at every depth, so the sets of
+    one size come out in colex order, which is increasing mask order; each
+    size fills its own lists and the sizes are joined smallest first.  The
+    masks are thus already sorted by (size, mask) and need no sort.
+    """
     if r < 1:
         raise ValueError("r must be positive")
-    cols = matrix.cols
-    found: dict[int, list[int]] = {}
-    for size in range(1, min(r, matrix.n) + 1):
-        for combo in combinations(range(matrix.n), size):
-            total = 0
-            for j in combo:
-                total ^= cols[j]
-            if total == 0:
-                continue
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            # independent columns summing to the query = minimal recovery set
-            if size > 1 and rank(matrix, mask) != size:
-                continue
-            found.setdefault(total, []).append(mask)
-    sets = {
-        alpha: tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
-        for alpha, masks in found.items()
-    }
+    depth = min(r, matrix.n)
+    # by_size[s][alpha]: masks of the (s+1)-column sets with xor alpha, increasing
+    by_size: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(depth)]
+    columns = [(c, 1 << j) for j, c in enumerate(matrix.cols)]
+
+    def extend(size: int, mask: int, total: int, span: set[int], stop: int) -> None:
+        out = by_size[size]
+        deeper = size + 1 < depth
+        for j, (c, bit) in enumerate(columns[:stop]):
+            if c not in span:
+                out[total ^ c].append(mask | bit)
+                if deeper:
+                    extend(size + 1, mask | bit, total ^ c, span | {v ^ c for v in span}, j)
+
+    extend(0, 0, 0, {0}, matrix.n)
+    queries = {alpha for level in by_size for alpha in level}
+    # pop each query's lists as its tuple is built, so they are not held twice
+    sets = {alpha: tuple(chain.from_iterable(level.pop(alpha, ()) for level in by_size))
+            for alpha in queries}
     return RecoveryCatalog(k=matrix.k, n=matrix.n, r=r, sets=sets)
 
 
@@ -360,7 +379,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     jobs splits the sweep into that many contiguous lex ranges, run by at
     most os.cpu_count() processes; budget_batches is shared among them by
-    floor division.
+    floor division.  The earliest failing range gives the counterexample;
+    with deterministic=True a range cut off by a budget ahead of it makes
+    the verdict undecided instead, as at jobs=1.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -400,48 +421,17 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan_chunk, *task) for task in tasks]
             results = [fut.result() for fut in futures]
-    # the earliest failing range carries the lexicographically least counterexample
+    # the earliest failing range carries the lexicographically least
+    # counterexample, unless an earlier range was cut off before reaching a
+    # smaller one: deterministic mode then reports undecided
     failure = None
     cut_off_any = False
     for settled, chunk_searched, fail_batch, cut_off in results:
         checked += settled
         searched += chunk_searched
-        cut_off_any = cut_off_any or cut_off
-        if fail_batch is not None and failure is None:
+        if failure is None and not (deterministic and cut_off_any):
             failure = fail_batch
+        cut_off_any = cut_off_any or cut_off
     if failure is not None:
         return verdict(FAILS, failure)
     return verdict(UNDECIDED if cut_off_any else HOLDS)
-
-
-# query pair -> disjoint recovery sets (as masks) for the [3,2,2,2] code with
-# columns (1,0), (0,1), (1,1)
-WORKED_EXAMPLE_ROWS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((1, 1), (0b001, 0b110)),
-    ((1, 2), (0b001, 0b010)),
-    ((1, 3), (0b001, 0b100)),
-    ((2, 1), (0b010, 0b001)),
-    ((2, 2), (0b101, 0b010)),
-    ((2, 3), (0b010, 0b100)),
-    ((3, 1), (0b100, 0b001)),
-    ((3, 2), (0b100, 0b010)),
-    ((3, 3), (0b011, 0b100)),
-)
-
-
-def verify_worked_example() -> bool:
-    """Check the canonical [3,2,2,2] recovery table row by row.
-
-    Each row must list disjoint sets of size at most 2 whose spans contain
-    the respective queries.
-    """
-    matrix = simplex(2)
-    for queries, masks in WORKED_EXAMPLE_ROWS:
-        if masks[0] & masks[1]:
-            return False
-        for w, mask in zip(queries, masks):
-            if mask.bit_count() > 2:
-                return False
-            if not in_span(matrix, mask, BitVec(w, matrix.k)):
-                return False
-    return True

@@ -21,7 +21,7 @@ from funcbatch.bounds import (
     min_n_sqrt,
     r2_comparison_table,
 )
-from funcbatch.codecheck import double_simplex, simplex, verify, verify_worked_example
+from funcbatch.codecheck import double_simplex, simplex, verify
 from funcbatch.counting import (
     LabellingTable,
     labelling_count_direct,
@@ -30,6 +30,7 @@ from funcbatch.counting import (
     labelling_upper_iterated,
     labelling_upper_r2,
 )
+from worked_example import worked_example_holds
 
 
 def _report(num, label, started):
@@ -151,7 +152,7 @@ def test_criterion_5_soundness_ordering():
 def test_criterion_6_verifier_fixtures():
     started = time.monotonic()
     assert verify(simplex(2), 2, 2).holds
-    assert verify_worked_example()
+    assert worked_example_holds()
     v = verify(simplex(3), 4, 2)
     assert v.holds and v.assignments_checked >= 210
     assert verify(double_simplex(2), 4, 2).holds

@@ -22,9 +22,9 @@ from funcbatch.codecheck import (
     find_disjoint_assignment,
     simplex,
     verify,
-    verify_worked_example,
 )
 from funcbatch.gf2 import BitVec, GeneratorMatrix, column_mask, in_span, rank
+from worked_example import worked_example_holds
 
 
 def test_simplex_columns_are_all_nonzero_vectors():
@@ -111,6 +111,26 @@ def test_catalog_matches_subset_enumeration(matrix, r):
     assert cat.sets == subset_catalog_oracle(matrix, r)
 
 
+@st.composite
+def catalog_cases(draw):
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=9))
+    return GeneratorMatrix(k, tuple(cols)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog_cases())
+def test_catalog_matches_subset_enumeration_random(case):
+    matrix, r = case
+    assert build_catalog(matrix, r).sets == subset_catalog_oracle(matrix, r)
+
+
+def test_catalog_simplex7_r3_sizes():
+    cat = build_catalog(simplex(7), 3)
+    assert len(cat.sets) == 127
+    assert {len(masks) for masks in cat.sets.values()} == {2668}
+
+
 def test_catalog_sets_are_sorted_and_capped():
     cat = build_catalog(double_simplex(3), 2)
     for masks in cat.sets.values():
@@ -159,7 +179,7 @@ def test_assignment_validates_queries():
 
 
 def test_verify_worked_example_rows():
-    assert verify_worked_example()
+    assert worked_example_holds()
 
 
 def test_verify_simplex2_serves_two_queries():
@@ -242,6 +262,35 @@ def test_verify_parallel_matches_sequential():
     v = verify(simplex(3), 5, 2, jobs=3, deterministic=True)
     assert v.status == FAILS
     assert v.counterexample == (1, 1, 1, 1, 1)
+
+
+def test_verify_deterministic_parallel_budget_is_undecided():
+    # the first range runs out of budget before (1, 2, 3); the second fails at (2, 5, 5)
+    m = GeneratorMatrix(3, (4, 6, 1, 1, 7, 5, 1))
+    for jobs in (1, 2):
+        v = verify(m, 3, 2, deterministic=True, jobs=jobs, budget_batches=4)
+        assert (v.status, v.counterexample) == (UNDECIDED, None)
+    assert verify(m, 3, 2, deterministic=True).counterexample == (1, 2, 3)
+    # without the lex-least claim any counterexample found is reported
+    v = verify(m, 3, 2, screen=False, jobs=2, budget_batches=4)
+    assert (v.status, v.counterexample) == (FAILS, (2, 5, 5))
+
+
+@st.composite
+def small_matrices(draw):
+    k = draw(st.integers(1, 3))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=7))
+    return GeneratorMatrix(k, tuple(cols)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrices(), st.integers(0, 40))
+def test_verify_deterministic_parallel_budget_never_misreports(case, budget):
+    matrix, t, r = case
+    expected = verify(matrix, t, r, deterministic=True)
+    v = verify(matrix, t, r, deterministic=True, jobs=2, budget_batches=budget)
+    assert v.status == UNDECIDED or (
+        v.status, v.counterexample) == (expected.status, expected.counterexample)
 
 
 def test_verify_matrix_without_full_span_fails():
