@@ -40,7 +40,6 @@ from funcbatch.codecheck import (
     verify,
 )
 from funcbatch.counting import (
-    EgfPoly,
     LabellingTable,
     falling_factorial,
     labelling_count,
@@ -75,7 +74,6 @@ __all__ = [
     "BitVec",
     "BoundOutcome",
     "CodeParams",
-    "EgfPoly",
     "GeneratorMatrix",
     "LabellingTable",
     "RecoveryCatalog",

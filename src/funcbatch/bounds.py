@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, log, sqrt
 from typing import Callable, Iterable, Optional
 
-from funcbatch.counting import LabellingTable
+from funcbatch.counting import labelling_count_egf
 from funcbatch.gf2 import MAX_DIMENSION
 
 EXACT = "exact"
@@ -76,17 +76,6 @@ class BoundOutcome:
         return None if self.vacuous else self.min_n
 
 
-_tables: dict[int, LabellingTable] = {}
-
-
-def _shared_table(r: int) -> LabellingTable:
-    # module-level cache; single-threaded use only
-    table = _tables.get(r)
-    if table is None:
-        table = _tables[r] = LabellingTable(r)
-    return table
-
-
 def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     """Pigeonhole test: the labelling count at length n must cover all (2^k-1)^t batches.
 
@@ -95,7 +84,7 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     CodeParams(k, t, r)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _shared_table(r).count(n, t) >= ((1 << k) - 1) ** t
+    return labelling_count_egf(n, t, r) >= ((1 << k) - 1) ** t
 
 
 def _first_true(cert: Callable[[int], bool], lo: int) -> int:
@@ -257,8 +246,9 @@ class R2ComparisonRow:
 def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     """Rows for k = 2..k_max at batch size t = 2^k, cap r = 2.
 
-    The exact column drives a big-integer memo table up to n around 150 for
-    k = 7; beyond k = 8 the cost grows quickly with 2^k.
+    The exact column reads one cached vector of t + 1 big-integer numerators
+    per k (see counting.egf_numerators) and no t-by-n table, so k = 12
+    (t = 4096) is within reach.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

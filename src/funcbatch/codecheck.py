@@ -378,8 +378,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     full sweep.
 
     jobs splits the sweep into that many contiguous lex ranges, run by at
-    most os.cpu_count() processes; budget_batches is shared among them by
-    floor division.  The earliest failing range gives the counterexample;
+    most os.cpu_count() processes; what budget_batches leaves after the
+    screen is split over the ranges actually made, the first ones taking
+    the remainder.  The earliest failing range gives the counterexample;
     with deterministic=True a range cut off by a budget ahead of it makes
     the verdict undecided instead, as at jobs=1.
     """
@@ -411,9 +412,14 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     total = _multiset_count(q, t)
     reps = _representatives(q, t) if _is_invariant(matrix) else None
-    share = None if budget_batches is None else max(0, budget_batches - checked) // max(jobs, 1)
+    chunks = _chunks(total, jobs, reps)
+    shares: list[Optional[int]] = [None] * len(chunks)
+    if budget_batches is not None:
+        # the first chunks take the remainder, so the shares add up exactly
+        base, extra = divmod(max(0, budget_batches - checked), len(chunks))
+        shares = [base + (i < extra) for i in range(len(chunks))]
     tasks = [(catalog, lo, hi, q, t, part, deadline, share)
-             for lo, hi, part in _chunks(total, jobs, reps)]
+             for (lo, hi, part), share in zip(chunks, shares)]
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         results = [_scan_chunk(*task) for task in tasks]

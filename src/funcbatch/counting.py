@@ -8,8 +8,8 @@ closed-form ceilings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
@@ -54,7 +54,7 @@ def labelling_count_direct(n: int, t: int, r: int) -> int:
 
     Sums multinomial(n; n-s, i_1, ..., i_t) over all (i_1, ..., i_t) in
     [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; intended as the
-    slow reference next to the recursion and the series product.
+    slow reference next to the recursion and the series numerators.
     """
     _validate_count_args(n, t, r)
     if t == 0:
@@ -114,51 +114,42 @@ def labelling_count(n: int, t: int, r: int) -> int:
     return LabellingTable(r).count(n, t)
 
 
-@dataclass(frozen=True)
-class EgfPoly:
-    """Integer numerators (c_0, ..., c_d) of the series sum_j c_j x^j / j!."""
+@lru_cache(maxsize=64)
+def egf_numerators(t: int, r: int) -> tuple[int, ...]:
+    """Numerators c_m = m! [x^m] (x/1! + ... + x^r/r!)^t for m = t..r*t, at index m - t.
 
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def mul(self, other: "EgfPoly", max_deg: int) -> "EgfPoly":
-        """Product in the exponential basis: c_m = sum_j C(m, j) a_j b_{m-j}."""
-        a, b = self.coeffs, other.coeffs
-        deg = min(max_deg, len(a) + len(b) - 2)
-        out = [0] * (deg + 1)
-        for i, ai in enumerate(a):
-            if ai == 0 or i > deg:
-                continue
-            for j in range(min(len(b), deg - i + 1)):
-                bj = b[j]
-                if bj:
-                    out[i + j] += comb(i + j, i) * ai * bj
-        return EgfPoly(tuple(out))
-
-
-def single_label_series(r: int) -> EgfPoly:
-    """Numerators of x/1! + ... + x^r/r!: one label used between 1 and r times."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    return EgfPoly((0,) + (1,) * r)
+    c_m counts the labellings of m positions by 1..t that use every label
+    between 1 and r times.  Miller's recurrence for a power of a power series
+    (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x and
+    cleared of denominators, gives c_t = t! and for m >= 1
+        m r! c_{t+m} = sum_{i=1..min(m, r-1)} (ti - m + i) (t+m)_i (r!/(i+1)!) c_{t+m-i}
+    with (t+m)_i a falling factorial; the division is exact.
+    """
+    _validate_count_args(0, t, r)
+    r_fact = factorial(r)
+    weights = [r_fact // factorial(i + 1) for i in range(r)]
+    c = [factorial(t)]
+    for m in range(1, (r - 1) * t + 1):
+        total, falling = 0, 1
+        for i in range(1, min(m, r - 1) + 1):
+            falling *= t + m - i + 1
+            total += (t * i - m + i) * falling * weights[i] * c[m - i]
+        c.append(total // (m * r_fact))
+    return tuple(c)
 
 
 def labelling_count_egf(n: int, t: int, r: int) -> int:
-    """Labelling count extracted from the series product e^x * (x/1! + ... + x^r/r!)^t.
+    """Labelling count sum_m C(n, m) c_m over the numerators of egf_numerators(t, r).
 
-    The t-fold product is truncated at degree min(n, r*t); multiplying by
-    e^x turns into the binomial sum over its numerators.
+    C(n, m) places the m positions with a nonzero label (the e^x factor of
+    the series); the numerators are cached per (t, r), so counts at many n
+    share one vector.
     """
     _validate_count_args(n, t, r)
-    max_deg = min(n, r * t)
-    acc = EgfPoly((1,))
-    base = single_label_series(r)
-    for _ in range(t):
-        acc = acc.mul(base, max_deg)
-    return sum(comb(n, m) * c for m, c in enumerate(acc.coeffs))
+    if n < t:
+        return 0  # some label has no position; no vector is built
+    numerators = egf_numerators(t, r)[:n - t + 1]
+    return sum(comb(n, m) * c for m, c in enumerate(numerators, start=t))
 
 
 def labelling_upper_r2(n: int, t: int) -> Fraction:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,6 +18,7 @@ from funcbatch.bounds import (
     necessary_condition,
     r2_comparison_table,
 )
+from funcbatch.counting import LabellingTable
 
 
 def product_cert(n, k, t, r):
@@ -94,6 +95,37 @@ def test_min_n_exact_is_a_boundary():
         assert necessary_condition(n, k, t, r)
         if n > 0:
             assert not necessary_condition(n - 1, k, t, r)
+
+
+def r2_count_closed_form(n, t):
+    """Cap-2 count: j labels used twice, t - j once, on t + j of the n positions."""
+    return sum(comb(t, j) * factorial(n) // (factorial(n - t - j) * 2 ** j)
+               for j in range(0, min(t, n - t) + 1))
+
+
+def test_r2_closed_form_matches_table():
+    table = LabellingTable(2)
+    for t in range(0, 12):
+        for n in range(t, 40):
+            assert r2_count_closed_form(n, t) == table.count(n, t)
+
+
+def test_min_n_exact_matches_linear_scan():
+    for r in range(1, 5):
+        table = LabellingTable(r)
+        for k in range(1, 7):
+            for t in (1, 2, 3, 5, 8, 13, 32, 64):
+                n = t
+                while table.count(n, t) < ((1 << k) - 1) ** t:
+                    n += 1
+                assert min_n_exact(k, t, r) == n
+
+
+def test_min_n_exact_k10_pinned_by_closed_form():
+    t, rhs = 1024, 1023 ** 1024
+    assert r2_count_closed_form(1132, t) >= rhs > r2_count_closed_form(1131, t)
+    assert min_n_exact(10, t, 2) == 1132
+    assert r2_comparison_table(10)[-1].exact_min == 1132
 
 
 def test_min_n_product_fixture():

@@ -276,6 +276,20 @@ def test_verify_deterministic_parallel_budget_is_undecided():
     assert (v.status, v.counterexample) == (FAILS, (2, 5, 5))
 
 
+@pytest.mark.parametrize("matrix,t,deterministic,budget,expected", [
+    (GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1)), 4, True, 1, (UNDECIDED, None, 1)),
+    (GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1)), 4, False, 8, (UNDECIDED, None, 8)),
+    # rank 0 fails, so its one batch must go to the first range
+    (GeneratorMatrix(2, (1, 2)), 2, True, 1, (FAILS, (1, 1), 1)),
+])
+def test_verify_parallel_budget_keeps_its_remainder(matrix, t, deterministic, budget, expected):
+    # an odd share left for two ranges (1, or 8 minus the 7 screened) goes to
+    # the first range instead of being dropped by floor division
+    for jobs in (1, 2):
+        v = verify(matrix, t, 2, deterministic=deterministic, jobs=jobs, budget_batches=budget)
+        assert (v.status, v.counterexample, v.assignments_checked) == expected
+
+
 @st.composite
 def small_matrices(draw):
     k = draw(st.integers(1, 3))

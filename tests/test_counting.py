@@ -1,13 +1,16 @@
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcbatch.counting import (
-    EgfPoly,
     LabellingTable,
+    egf_numerators,
     falling_factorial,
     labelling_count,
     labelling_count_direct,
@@ -16,7 +19,6 @@ from funcbatch.counting import (
     labelling_upper_iterated,
     labelling_upper_r2,
     multinomial,
-    single_label_series,
 )
 
 
@@ -186,25 +188,84 @@ def frac_poly_power(r, t, max_deg):
     return acc
 
 
+@dataclass(frozen=True)
+class EgfPoly:
+    """Integer numerators (c_0, ..., c_d) of the series sum_j c_j x^j / j!."""
+
+    coeffs: tuple[int, ...]
+
+    def mul(self, other, max_deg):
+        """Product in the exponential basis: c_m = sum_j C(m, j) a_j b_{m-j}."""
+        a, b = self.coeffs, other.coeffs
+        deg = min(max_deg, len(a) + len(b) - 2)
+        out = [0] * (deg + 1)
+        for i, ai in enumerate(a):
+            if ai == 0 or i > deg:
+                continue
+            for j in range(min(len(b), deg - i + 1)):
+                bj = b[j]
+                if bj:
+                    out[i + j] += comb(i + j, i) * ai * bj
+        return EgfPoly(tuple(out))
+
+
+def single_label_series(r):
+    """Numerators of x/1! + ... + x^r/r!: one label used between 1 and r times."""
+    return EgfPoly((0,) + (1,) * r)
+
+
+def egf_product_numerators(t, r):
+    """Second oracle: the t-fold product of single_label_series(r) in the exponential basis."""
+    acc = EgfPoly((1,))
+    for _ in range(t):
+        acc = acc.mul(single_label_series(r), r * t)
+    return acc.coeffs
+
+
 def test_series_numerators_match_fraction_oracle():
-    for r in range(1, 4):
-        for t in range(0, 4):
-            max_deg = r * t
-            acc = EgfPoly((1,))
-            base = single_label_series(r)
-            for _ in range(t):
-                acc = acc.mul(base, max_deg)
-            oracle = frac_poly_power(r, t, max_deg)
-            for m, c in enumerate(acc.coeffs):
-                assert Fraction(c, factorial(m)) == (oracle[m] if m < len(oracle) else Fraction(0))
+    for r in range(1, 5):
+        for t in range(0, 6):
+            oracle = frac_poly_power(r, t, r * t)
+            product_form = egf_product_numerators(t, r)
+            assert product_form[:t] == (0,) * t
+            assert product_form[t:] == egf_numerators(t, r)
+            for m, c in enumerate(egf_numerators(t, r), start=t):
+                assert Fraction(c, factorial(m)) == oracle[m]
 
 
 def test_series_numerators_are_integers_by_type():
-    poly = single_label_series(3)
-    acc = EgfPoly((1,))
-    for _ in range(4):
-        acc = acc.mul(poly, 12)
-    assert all(isinstance(c, int) for c in acc.coeffs)
+    assert all(isinstance(c, int) for c in egf_product_numerators(4, 3))
+    assert all(isinstance(c, int) for c in egf_numerators(4, 3))
+
+
+def test_numerator_recurrence_divides_exactly():
+    # the returned vector satisfies the cleared recurrence with no remainder
+    for r in range(1, 7):
+        r_fact = factorial(r)
+        for t in range(0, 13):
+            c = egf_numerators(t, r)
+            assert len(c) == (r - 1) * t + 1 and c[0] == factorial(t)
+            for m in range(1, len(c)):
+                rhs = sum((t * i - m + i) * falling_factorial(t + m, i)
+                          * (r_fact // factorial(i + 1)) * c[m - i]
+                          for i in range(1, min(m, r - 1) + 1))
+                assert m * r_fact * c[m] == rhs
+
+
+def test_egf_count_matches_table_on_large_grid():
+    for r in range(1, 6):
+        table = LabellingTable(r)
+        for t in range(0, 12):
+            for n in range(0, 40):
+                assert labelling_count_egf(n, t, r) == table.count(n, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 5), st.integers(1, 4))
+def test_egf_count_matches_table_and_direct(n, t, r):
+    expected = labelling_count_direct(n, t, r)
+    assert LabellingTable(r).count(n, t) == expected
+    assert labelling_count_egf(n, t, r) == expected
 
 
 def test_upper_r2_values():
