@@ -94,6 +94,103 @@ def test_minn_unknown_bound_is_usage_error():
     assert code == EX_USAGE and "error:" in err
 
 
+# Byte-for-byte CLI output, pinned before the closed-form bounds were merged
+# into one table-driven solver.
+TABLE_GOLDENS = {
+    "2": (
+        "k,t,sqrt,exact,construction\n"
+        "2,4,5,5,6\n"
+        "3,8,9,10,14\n"
+        "4,16,17,19,30\n"
+        "5,32,31,38,62\n"
+        "6,64,58,74,126\n"
+        "7,128,111,146,254\n"
+    ),
+    "3": (
+        "k,baseline_t2,chain_t2_r2,chain_t2_r3,chain_t3_r3,chain_t2_r5\n"
+        "5,7,7,6,6,-\n"
+        "6,8,9,7,8,-\n"
+        "7,9,13,8,9,9*\n"
+        "8,11,17,10,10,9\n"
+        "9,12,24,12,13,10\n"
+        "10,13,33,15,15,11\n"
+        "11,14,47,18,18,12\n"
+        "12,16,65,22,23,13\n"
+        "13,17,92,27,28,14\n"
+        "14,18,129,34,34,16\n"
+        "15,19,183,42,43,18\n"
+        "# k=5 t=2 r=5: raw 7, floor 9, vacuous\n"
+        "# k=6 t=2 r=5: raw 7, floor 9, vacuous\n"
+        "# k=7 t=2 r=5: raw 8, floor 9, clamped\n"
+        "# check: k=8 t=2 r=5 cell is exactly certified at 9 (not 10)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(TABLE_GOLDENS))
+def test_table_golden(which):
+    assert run_cli("table", "--which", which) == (EX_OK, TABLE_GOLDENS[which], "")
+
+
+# (bound, k, t, r) -> (exit code, stdout, stderr)
+MINN_GOLDENS = {
+    ("exact", 7, 2, 5): (0, "9\n", ""),
+    ("exact", 5, 2, 5): (0, "7\n", ""),
+    ("exact", 10, 2, 3): (0, "20\n", ""),
+    ("exact", 3, 8, 2): (0, "10\n", ""),
+    ("exact", 5, 32, 3): (0, "38\n", ""),
+    ("exact", 1, 4, 1): (0, "4\n", ""),
+    ("exact", 4, 3, 0): (64, "", "error: r must be positive\n"),
+    ("exact", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("product", 7, 2, 5): (0, "7\n", ""),
+    ("product", 5, 2, 5): (0, "7*\nfloor=7 raw=6\n", ""),
+    ("product", 10, 2, 3): (0, "15\n", ""),
+    ("product", 3, 8, 2): (0, "10\n", ""),
+    ("product", 5, 32, 3): (0, "35*\nfloor=35 raw=34\n", ""),
+    ("product", 1, 4, 1): (0, "-\nfloor=5 raw=4\n", ""),
+    ("product", 4, 3, 0): (64, "", "error: r must be positive\n"),
+    ("product", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("amgm", 7, 2, 5): (0, "7\n", ""),
+    ("amgm", 5, 2, 5): (0, "7*\nfloor=7 raw=6\n", ""),
+    ("amgm", 10, 2, 3): (0, "15\n", ""),
+    ("amgm", 3, 8, 2): (0, "10*\nfloor=10 raw=9\n", ""),
+    ("amgm", 5, 32, 3): (0, "35*\nfloor=35 raw=31\n", ""),
+    ("amgm", 1, 4, 1): (0, "-\nfloor=5 raw=3\n", ""),
+    ("amgm", 4, 3, 0): (64, "", "error: r must be positive\n"),
+    ("amgm", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("chain", 7, 2, 5): (0, "9*\nfloor=9 raw=8\n", ""),
+    ("chain", 5, 2, 5): (0, "-\nfloor=9 raw=7\n", ""),
+    ("chain", 10, 2, 3): (0, "15\n", ""),
+    ("chain", 3, 8, 2): (0, "9*\nfloor=9 raw=7\n", ""),
+    ("chain", 5, 32, 3): (0, "33*\nfloor=33 raw=21\n", ""),
+    ("chain", 1, 4, 1): (0, "-\nfloor=5 raw=3\n", ""),
+    ("chain", 4, 3, 0): (64, "", "error: r must be positive\n"),
+    ("chain", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("sqrt", 7, 2, 5): (0, "17\n", "warning: sqrt bound assumes cap 2; ignoring --r 5\n"),
+    ("sqrt", 5, 2, 5): (0, "9\n", "warning: sqrt bound assumes cap 2; ignoring --r 5\n"),
+    ("sqrt", 10, 2, 3): (0, "46\n", "warning: sqrt bound assumes cap 2; ignoring --r 3\n"),
+    ("sqrt", 3, 8, 2): (0, "9\n", ""),
+    ("sqrt", 5, 32, 3): (0, "31\n", "warning: sqrt bound assumes cap 2; ignoring --r 3\n"),
+    ("sqrt", 1, 4, 1): (0, "4\n", "warning: sqrt bound assumes cap 2; ignoring --r 1\n"),
+    ("sqrt", 4, 3, 0): (0, "7\n", "warning: sqrt bound assumes cap 2; ignoring --r 0\n"),
+    ("sqrt", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("baseline", 7, 2, 5): (0, "9\n", ""),
+    ("baseline", 5, 2, 5): (0, "7\n", ""),
+    ("baseline", 10, 2, 3): (0, "13\n", ""),
+    ("baseline", 3, 8, 2): (0, "8\n", ""),
+    ("baseline", 5, 32, 3): (0, "32\n", ""),
+    ("baseline", 1, 4, 1): (0, "0\n", ""),
+    ("baseline", 4, 3, 0): (0, "6\n", ""),
+    ("baseline", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+}
+
+
+@pytest.mark.parametrize("bound,k,t,r", sorted(MINN_GOLDENS))
+def test_minn_golden(bound, k, t, r):
+    got = run_cli("minn", "--k", str(k), "--t", str(t), "--r", str(r), "--bound", bound)
+    assert got == MINN_GOLDENS[bound, k, t, r]
+
+
 def test_table2_rows():
     code, out, _ = run_cli("table", "--which", "2")
     lines = out.splitlines()
