@@ -21,12 +21,8 @@ from funcbatch.bounds import (
     CodeParams,
     chain_bound_table,
     construction_length,
-    min_n_amgm,
-    min_n_baseline,
-    min_n_chain,
+    min_n,
     min_n_exact,
-    min_n_product,
-    min_n_sqrt,
     necessary_condition,
     r2_comparison_table,
 )
@@ -95,12 +91,8 @@ __all__ = [
     "labelling_upper_iterated",
     "labelling_upper_r2",
     "mask_columns",
-    "min_n_amgm",
-    "min_n_baseline",
-    "min_n_chain",
+    "min_n",
     "min_n_exact",
-    "min_n_product",
-    "min_n_sqrt",
     "multinomial",
     "necessary_condition",
     "r2_comparison_table",

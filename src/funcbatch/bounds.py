@@ -1,19 +1,19 @@
 """Lower bounds on code length: exact counting condition, closed-form relaxations, tables.
 
-Every solver returns the smallest length passing its bound, certified by
-exact integer arithmetic after clearing denominators; floating point only
-seeds the search.  A raw value below the bound's applicability floor is
-clamped to the floor; an outcome is marked vacuous whenever some length
-below the floor survives the exact counting condition, since the bound then
-certifies no unconditional minimum.
+Every solver returns the smallest length passing its bound, found by one
+gallop-and-bisect search over an inequality cleared of denominators, in
+exact integer arithmetic throughout.  A raw value below the bound's
+applicability floor is clamped to the floor; an outcome is marked vacuous
+whenever some length below the floor survives the exact counting condition,
+since the bound then certifies no unconditional minimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, log, sqrt
-from typing import Callable, Iterable, Optional
+from math import factorial
+from typing import Callable, Optional
 
 from funcbatch.counting import labelling_count_egf
 from funcbatch.gf2 import MAX_DIMENSION
@@ -51,11 +51,11 @@ class BoundOutcome:
 
     min_n is the reported minimum, raw_min_n the uncapped solution of the
     bound inequality, and rhs the exact threshold of the certified integer
-    comparison (None for the exact-count bound).  clamped means the raw
-    value sat below the applicability floor.  vacuous means some length
-    below the floor still passes the exact counting condition; since the
-    bound only speaks about lengths at or above its floor, such an outcome
-    certifies no unconditional minimum and renders as '-'.
+    comparison.  clamped means the raw value sat below the applicability
+    floor.  vacuous means some length below the floor still passes the
+    exact counting condition; since the bound only speaks about lengths at
+    or above its floor, such an outcome certifies no unconditional minimum
+    and renders as '-'.
     """
 
     bound_id: str
@@ -64,7 +64,7 @@ class BoundOutcome:
     applicability_floor: int
     clamped: bool
     vacuous: bool
-    rhs: Optional[Fraction]
+    rhs: Fraction
 
     def __post_init__(self) -> None:
         if self.clamped and self.min_n < self.applicability_floor:
@@ -111,118 +111,70 @@ def min_n_exact(k: int, t: int, r: int) -> int:
     return _first_true(lambda n: necessary_condition(n, k, t, r), lo=t)
 
 
-def _certified_min(cert: Callable[[int], bool], estimate: float, lowest: int = 0) -> int:
-    """Exact smallest n >= lowest with cert(n), seeded by a float estimate."""
-    cand = max(lowest, int(estimate) - 2)
-    while not cert(cand):
-        cand += 1
-    while cand > lowest and cert(cand - 1):
-        cand -= 1
-    return cand
+@dataclass(frozen=True)
+class _Spec:
+    """A closed-form bound: least n >= start(t) with lhs(n, t, r) >= rhs(2^k - 1, t, r)."""
+
+    cap: Optional[int]  # the cap the bound fixes; None takes the caller's r
+    start: Callable[[int], int]
+    floor: Callable[[int, int], int]
+    lhs: Callable[[int, int, int], int]  # nondecreasing in n from start(t)
+    rhs: Callable[[int, int, int], int]
 
 
-def _outcome(bound_id: str, raw: int, floor: int, rhs: Optional[Fraction],
-             k: int, t: int, r: int) -> BoundOutcome:
-    raw = max(raw, 0)
-    clamped = raw < floor
-    vacuous = False
-    if floor - 1 >= 1:
-        # the outcome is an unconditional bound only when every length below
-        # the applicability floor already fails the exact counting condition
-        vacuous = necessary_condition(floor - 1, k, t, r)
+# q = 2^k - 1 is the number of nonzero queries
+_SPECS = {
+    # (n-(t-1)/2)(n-t)^(r-1)/(r-1)! >= q, cleared of denominators; from n = t
+    # on, where n - t is nonnegative and the left side is monotone
+    PRODUCT: _Spec(None, lambda t: t, lambda t, r: t + r,
+                   lambda n, t, r: (2 * n - t + 1) * (n - t) ** (r - 1),
+                   lambda q, t, r: 2 * q * factorial(r - 1)),
+    # mean-inequality relaxation n >= t - (t+1)/(2r) + (q(r-1)!)^(1/r)
+    AMGM: _Spec(None, lambda t: 0, lambda t, r: t + r,
+                lambda n, t, r: max(2 * r * (n - t) + t + 1, 0) ** r,
+                lambda q, t, r: (2 * r) ** r * q * factorial(r - 1)),
+    # iterated recursion n >= (t+r)/2 - 1 + (q(r-1)!)^(1/r)
+    CHAIN: _Spec(None, lambda t: 0, lambda t, r: max(t + 1, 2 * r - 1),
+                 lambda n, t, r: max(2 * n - t - r + 2, 0) ** r,
+                 lambda q, t, r: (1 << r) * q * factorial(r - 1)),
+    # cap 2: n >= (2q)^(1/2) + 3t/4 - 5/4 and n >= 1
+    SQRT: _Spec(2, lambda t: 1, lambda t, r: 1,
+                lambda n, t, r: max(4 * n - 3 * t + 5, 0) ** 2,
+                lambda q, t, r: 32 * q),
+    # unrestricted cap: (t+1)^n >= q^t
+    BASELINE: _Spec(1, lambda t: 0, lambda t, r: 0,
+                    lambda n, t, r: (t + 1) ** n,
+                    lambda q, t, r: q ** t),
+}
+
+
+def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
+    """Smallest length passing a closed-form bound (product, amgm, chain, sqrt, baseline).
+
+    sqrt fixes the cap at 2 and baseline at 1, whatever r is passed.  The
+    raw minimum is found by gallop and bisection on the bound's integer
+    inequality, then clamped to the applicability floor.
+    """
+    if bound_id not in _SPECS:
+        raise ValueError(f"no closed-form bound {bound_id!r}")
+    spec = _SPECS[bound_id]
+    r = r if spec.cap is None else spec.cap
+    CodeParams(k, t, r)
+    rhs = spec.rhs((1 << k) - 1, t, r)
+    raw = _first_true(lambda n: spec.lhs(n, t, r) >= rhs, spec.start(t))
+    floor = spec.floor(t, r)
+    # the outcome is an unconditional bound only when every length below
+    # the applicability floor already fails the exact counting condition
+    vacuous = floor > 1 and necessary_condition(floor - 1, k, t, r)
     return BoundOutcome(
         bound_id=bound_id,
-        min_n=floor if clamped else raw,
+        min_n=max(raw, floor),
         raw_min_n=raw,
         applicability_floor=floor,
-        clamped=clamped,
+        clamped=raw < floor,
         vacuous=vacuous,
-        rhs=rhs,
+        rhs=Fraction(rhs),
     )
-
-
-def min_n_product(k: int, t: int, r: int) -> BoundOutcome:
-    """Product-form bound: smallest n with (n-(t-1)/2)(n-t)^(r-1)/(r-1)! >= 2^k - 1.
-
-    Certified as (2n-t+1)(n-t)^(r-1) >= 2(2^k-1)(r-1)!; applicability floor t+r.
-    """
-    CodeParams(k, t, r)
-    threshold = 2 * ((1 << k) - 1) * factorial(r - 1)
-
-    def cert(n: int) -> bool:
-        # restricted to n >= t, where the factor n - t is nonnegative and the
-        # comparison is monotone; (n-t)^(r-1) is an empty product at n = t, r = 1
-        return n >= t and (2 * n - t + 1) * (n - t) ** (r - 1) >= threshold
-
-    raw = _first_true(cert, lo=t)
-    return _outcome(PRODUCT, raw, t + r, Fraction(threshold), k, t, r)
-
-
-def min_n_amgm(k: int, t: int, r: int) -> BoundOutcome:
-    """Mean-inequality relaxation: smallest n >= t - (t+1)/(2r) + ((2^k-1)(r-1)!)^(1/r).
-
-    Certified as (2r(n-t)+t+1)^r >= (2r)^r (2^k-1)(r-1)!; applicability floor t+r.
-    """
-    CodeParams(k, t, r)
-    base = ((1 << k) - 1) * factorial(r - 1)
-    threshold = (2 * r) ** r * base
-
-    def cert(n: int) -> bool:
-        b = 2 * r * (n - t) + t + 1
-        return b > 0 and b ** r >= threshold
-
-    estimate = t - (t + 1) / (2 * r) + base ** (1 / r)
-    raw = _certified_min(cert, estimate)
-    return _outcome(AMGM, raw, t + r, Fraction(threshold), k, t, r)
-
-
-def min_n_chain(k: int, t: int, r: int) -> BoundOutcome:
-    """Iterated-recursion bound: smallest n >= (t+r)/2 - 1 + ((2^k-1)(r-1)!)^(1/r).
-
-    Certified as (2n-t-r+2)^r >= 2^r (2^k-1)(r-1)!; applicability floor
-    max(t+1, 2r-1).
-    """
-    CodeParams(k, t, r)
-    base = ((1 << k) - 1) * factorial(r - 1)
-    threshold = (1 << r) * base
-
-    def cert(n: int) -> bool:
-        b = 2 * n - t - r + 2
-        return b > 0 and b ** r >= threshold
-
-    estimate = (t + r) / 2 - 1 + base ** (1 / r)
-    raw = _certified_min(cert, estimate)
-    return _outcome(CHAIN, raw, max(t + 1, 2 * r - 1), Fraction(threshold), k, t, r)
-
-
-def min_n_sqrt(k: int, t: int) -> BoundOutcome:
-    """Square-root bound at cap 2: smallest n >= sqrt(2(2^k-1)) + 3t/4 - 5/4.
-
-    Certified as 4n-3t+5 >= 0 and (4n-3t+5)^2 >= 32(2^k-1); no floor beyond 1.
-    """
-    CodeParams(k, t, 2)
-    threshold = 32 * ((1 << k) - 1)
-
-    def cert(n: int) -> bool:
-        b = 4 * n - 3 * t + 5
-        return b >= 0 and b * b >= threshold
-
-    estimate = sqrt(2 * ((1 << k) - 1)) + 0.75 * t - 1.25
-    raw = _certified_min(cert, estimate, lowest=1)
-    return _outcome(SQRT, raw, 1, Fraction(threshold), k, t, 2)
-
-
-def min_n_baseline(k: int, t: int) -> BoundOutcome:
-    """Unrestricted-cap bound: smallest n with (t+1)^n >= (2^k-1)^t, exact throughout."""
-    CodeParams(k, t, 1)
-    rhs = ((1 << k) - 1) ** t
-
-    def cert(n: int) -> bool:
-        return (t + 1) ** n >= rhs
-
-    estimate = 0.0 if k == 1 else t * log((1 << k) - 1) / log(t + 1)
-    raw = _certified_min(cert, estimate)
-    return _outcome(BASELINE, raw, 0, Fraction(rhs), k, t, 1)
 
 
 def construction_length(k: int) -> int:
@@ -246,9 +198,9 @@ class R2ComparisonRow:
 def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     """Rows for k = 2..k_max at batch size t = 2^k, cap r = 2.
 
-    The exact column reads one cached vector of t + 1 big-integer numerators
-    per k (see counting.egf_numerators) and no t-by-n table, so k = 12
-    (t = 4096) is within reach.
+    The exact column reads big-integer numerators c_t..c_n only up to each
+    length n it tests (see counting.egf_numerators) and no t-by-n table, so
+    k = 12 (t = 4096) is within reach.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -258,14 +210,15 @@ def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
         rows.append(R2ComparisonRow(
             k=k,
             t=t,
-            sqrt_min=min_n_sqrt(k, t).min_n,
+            sqrt_min=min_n(SQRT, k, t, 2).min_n,
             exact_min=min_n_exact(k, t, 2),
             construction=construction_length(k),
         ))
     return rows
 
 
-DEFAULT_CHAIN_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3), (2, 5))
+CHAIN_TABLE_KS = range(5, 16)
+CHAIN_TABLE_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3), (2, 5))
 
 
 @dataclass(frozen=True)
@@ -277,12 +230,10 @@ class ChainBoundRow:
     cells: tuple[BoundOutcome, ...]
 
 
-def chain_bound_table(ks: Iterable[int] = range(5, 16),
-                      configs: tuple[tuple[int, int], ...] = DEFAULT_CHAIN_CONFIGS,
-                      ) -> list[ChainBoundRow]:
-    """Chain-bound minima for each (t, r) configuration, keyed by dimension k."""
+def chain_bound_table() -> list[ChainBoundRow]:
+    """Chain-bound minima for each (t, r) in CHAIN_TABLE_CONFIGS, keyed by dimension k."""
     rows = []
-    for k in ks:
-        cells = tuple(min_n_chain(k, t, r) for (t, r) in configs)
-        rows.append(ChainBoundRow(k=k, baseline_min=min_n_baseline(k, 2).min_n, cells=cells))
+    for k in CHAIN_TABLE_KS:
+        cells = tuple(min_n(CHAIN, k, t, r) for (t, r) in CHAIN_TABLE_CONFIGS)
+        rows.append(ChainBoundRow(k=k, baseline_min=min_n(BASELINE, k, 2, 1).min_n, cells=cells))
     return rows

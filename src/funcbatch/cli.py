@@ -130,15 +130,15 @@ def _cell_text(outcome: bounds.BoundOutcome) -> str:
     return str(outcome.min_n)
 
 
-def r2_table_csv(k_max: int = 7) -> CsvTable:
+def r2_table_csv() -> CsvTable:
     rows = []
-    for row in bounds.r2_comparison_table(k_max):
+    for row in bounds.r2_comparison_table():
         rows.append(tuple(str(v) for v in (row.k, row.t, row.sqrt_min, row.exact_min, row.construction)))
     return CsvTable(header=("k", "t", "sqrt", "exact", "construction"), rows=tuple(rows))
 
 
 def chain_table_csv() -> CsvTable:
-    configs = bounds.DEFAULT_CHAIN_CONFIGS
+    configs = bounds.CHAIN_TABLE_CONFIGS
     header = ("k", "baseline_t2") + tuple(f"chain_t{t}_r{r}" for (t, r) in configs)
     rows = []
     notes = []
@@ -179,18 +179,9 @@ def _cmd_minn(args: argparse.Namespace) -> int:
         if args.bound == bounds.EXACT:
             print(bounds.min_n_exact(k, t, r))
             return EX_OK
-        if args.bound == bounds.SQRT:
-            if r != 2:
-                print(f"warning: sqrt bound assumes cap 2; ignoring --r {r}", file=sys.stderr)
-            outcome = bounds.min_n_sqrt(k, t)
-        elif args.bound == bounds.BASELINE:
-            outcome = bounds.min_n_baseline(k, t)
-        elif args.bound == bounds.PRODUCT:
-            outcome = bounds.min_n_product(k, t, r)
-        elif args.bound == bounds.AMGM:
-            outcome = bounds.min_n_amgm(k, t, r)
-        else:
-            outcome = bounds.min_n_chain(k, t, r)
+        if args.bound == bounds.SQRT and r != 2:
+            print(f"warning: sqrt bound assumes cap 2; ignoring --r {r}", file=sys.stderr)
+        outcome = bounds.min_n(args.bound, k, t, r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(_cell_text(outcome))

@@ -115,21 +115,22 @@ def labelling_count(n: int, t: int, r: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def egf_numerators(t: int, r: int) -> tuple[int, ...]:
-    """Numerators c_m = m! [x^m] (x/1! + ... + x^r/r!)^t for m = t..r*t, at index m - t.
+def egf_numerators(t: int, r: int, n: int) -> tuple[int, ...]:
+    """Numerators c_m = m! [x^m] (x/1! + ... + x^r/r!)^t for m = t..min(n, r*t), at index m - t.
 
     c_m counts the labellings of m positions by 1..t that use every label
     between 1 and r times.  Miller's recurrence for a power of a power series
     (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x and
     cleared of denominators, gives c_t = t! and for m >= 1
         m r! c_{t+m} = sum_{i=1..min(m, r-1)} (ti - m + i) (t+m)_i (r!/(i+1)!) c_{t+m-i}
-    with (t+m)_i a falling factorial; the division is exact.
+    with (t+m)_i a falling factorial; the division is exact.  c_t is built
+    even when n < t.
     """
-    _validate_count_args(0, t, r)
+    _validate_count_args(n, t, r)
     r_fact = factorial(r)
     weights = [r_fact // factorial(i + 1) for i in range(r)]
     c = [factorial(t)]
-    for m in range(1, (r - 1) * t + 1):
+    for m in range(1, min(n, r * t) - t + 1):
         total, falling = 0, 1
         for i in range(1, min(m, r - 1) + 1):
             falling *= t + m - i + 1
@@ -139,17 +140,15 @@ def egf_numerators(t: int, r: int) -> tuple[int, ...]:
 
 
 def labelling_count_egf(n: int, t: int, r: int) -> int:
-    """Labelling count sum_m C(n, m) c_m over the numerators of egf_numerators(t, r).
+    """Labelling count sum_m C(n, m) c_m over the numerators of egf_numerators(t, r, n).
 
     C(n, m) places the m positions with a nonzero label (the e^x factor of
-    the series); the numerators are cached per (t, r), so counts at many n
-    share one vector.
+    the series); only the numerators up to m = n are built.
     """
     _validate_count_args(n, t, r)
     if n < t:
         return 0  # some label has no position; no vector is built
-    numerators = egf_numerators(t, r)[:n - t + 1]
-    return sum(comb(n, m) * c for m, c in enumerate(numerators, start=t))
+    return sum(comb(n, m) * c for m, c in enumerate(egf_numerators(t, r, n), start=t))
 
 
 def labelling_upper_r2(n: int, t: int) -> Fraction:

@@ -11,16 +11,7 @@ from itertools import product
 from math import factorial
 
 from funcbatch import bounds
-from funcbatch.bounds import (
-    chain_bound_table,
-    min_n_amgm,
-    min_n_baseline,
-    min_n_chain,
-    min_n_exact,
-    min_n_product,
-    min_n_sqrt,
-    r2_comparison_table,
-)
+from funcbatch.bounds import chain_bound_table, min_n, min_n_exact, r2_comparison_table
 from funcbatch.codecheck import double_simplex, simplex, verify
 from funcbatch.counting import (
     LabellingTable,
@@ -132,14 +123,10 @@ def test_criterion_5_soundness_ordering():
         for t in range(1, 7):
             for r in range(1, 6):
                 exact = min_n_exact(k, t, r)
-                outcomes = [
-                    min_n_product(k, t, r),
-                    min_n_amgm(k, t, r),
-                    min_n_chain(k, t, r),
-                    min_n_baseline(k, t),
-                ]
+                ids = [bounds.PRODUCT, bounds.AMGM, bounds.CHAIN, bounds.BASELINE]
                 if r == 2:
-                    outcomes.append(min_n_sqrt(k, t))
+                    ids.append(bounds.SQRT)
+                outcomes = [min_n(bound_id, k, t, r) for bound_id in ids]
                 for o in outcomes:
                     # vacuous flags exactly the cells whose floor overshoots
                     # the true minimum; every other cell must not exceed it
@@ -173,14 +160,6 @@ def test_criterion_6_stretch_simplex4():
 def test_criterion_7_certification_property():
     started = time.monotonic()
     rng = random.Random(1729)
-    solvers = {
-        bounds.PRODUCT: lambda k, t, r: min_n_product(k, t, r),
-        bounds.AMGM: lambda k, t, r: min_n_amgm(k, t, r),
-        bounds.CHAIN: lambda k, t, r: min_n_chain(k, t, r),
-        bounds.SQRT: lambda k, t, r: min_n_sqrt(k, t),
-        bounds.BASELINE: lambda k, t, r: min_n_baseline(k, t),
-    }
-
     def holds_at(bound_id, n, k, t, r):
         big = (1 << k) - 1
         if bound_id == bounds.PRODUCT:
@@ -200,8 +179,8 @@ def test_criterion_7_certification_property():
         k = rng.randrange(1, 21)
         t = rng.randrange(1, 65)
         r = rng.randrange(1, 7)
-        for bound_id, solve in solvers.items():
-            o = solve(k, t, r)
+        for bound_id in (bounds.PRODUCT, bounds.AMGM, bounds.CHAIN, bounds.SQRT, bounds.BASELINE):
+            o = min_n(bound_id, k, t, r)
             if o.clamped:
                 assert o.min_n == o.applicability_floor
                 assert o.raw_min_n < o.applicability_floor

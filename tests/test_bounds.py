@@ -5,16 +5,18 @@ from math import comb, factorial
 import pytest
 
 from funcbatch.bounds import (
+    AMGM,
+    BASELINE,
+    CHAIN,
+    EXACT,
+    PRODUCT,
+    SQRT,
     BoundOutcome,
     CodeParams,
     chain_bound_table,
     construction_length,
-    min_n_amgm,
-    min_n_baseline,
-    min_n_chain,
+    min_n,
     min_n_exact,
-    min_n_product,
-    min_n_sqrt,
     necessary_condition,
     r2_comparison_table,
 )
@@ -129,7 +131,7 @@ def test_min_n_exact_k10_pinned_by_closed_form():
 
 
 def test_min_n_product_fixture():
-    o = min_n_product(10, 2, 3)
+    o = min_n(PRODUCT, 10, 2, 3)
     assert o.min_n == 15 and not o.clamped and not o.vacuous
     assert o.applicability_floor == 5
 
@@ -138,67 +140,67 @@ def test_min_n_product_cap_one_shape():
     # at cap 1 the inequality is 2^k - 1 <= n - (t-1)/2
     for k in (3, 6):
         for t in (1, 4):
-            o = min_n_product(k, t, 1)
+            o = min_n(PRODUCT, k, t, 1)
             n = o.raw_min_n
             assert 2 * n - t + 1 >= 2 * ((1 << k) - 1)
             assert 2 * (n - 1) - t + 1 < 2 * ((1 << k) - 1)
 
 
 def test_min_n_amgm_fixture():
-    o = min_n_amgm(10, 2, 3)
+    o = min_n(AMGM, 10, 2, 3)
     assert o.min_n == 15
     # mean-inequality relaxation never exceeds the product bound by more than a unit
     for k in range(1, 16):
         for t in range(1, 5):
             for r in range(1, 6):
-                assert min_n_amgm(k, t, r).raw_min_n <= min_n_product(k, t, r).raw_min_n + 1
+                assert min_n(AMGM, k, t, r).raw_min_n <= min_n(PRODUCT, k, t, r).raw_min_n + 1
 
 
 def test_min_n_amgm_monotone_in_k():
     prev = 0
     for k in range(1, 16):
-        cur = min_n_amgm(k, 2, 3).raw_min_n
+        cur = min_n(AMGM, k, 2, 3).raw_min_n
         assert cur >= prev
         prev = cur
 
 
 def test_min_n_chain_fixtures():
-    assert min_n_chain(15, 2, 2).min_n == 183
-    assert min_n_chain(5, 2, 3).min_n == 6
-    assert min_n_chain(15, 3, 3).min_n == 43
+    assert min_n(CHAIN, 15, 2, 2).min_n == 183
+    assert min_n(CHAIN, 5, 2, 3).min_n == 6
+    assert min_n(CHAIN, 15, 3, 3).min_n == 43
 
 
 def test_min_n_chain_near_tie_certification():
     # 64^3 = 262144 barely clears 2^3 * 16383 * 2 = 262128
-    o = min_n_chain(14, 3, 3)
+    o = min_n(CHAIN, 14, 3, 3)
     assert o.min_n == 34
     assert chain_cert(34, 14, 3, 3)
     assert not chain_cert(33, 14, 3, 3)
 
 
 def test_min_n_chain_clamped_and_vacuous_cells():
-    o = min_n_chain(7, 2, 5)
+    o = min_n(CHAIN, 7, 2, 5)
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 8, True, False)
-    o = min_n_chain(5, 2, 5)
+    o = min_n(CHAIN, 5, 2, 5)
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 7, True, True)
-    o = min_n_chain(6, 2, 5)
+    o = min_n(CHAIN, 6, 2, 5)
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 7, True, True)
-    o = min_n_chain(8, 2, 5)
+    o = min_n(CHAIN, 8, 2, 5)
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 9, False, False)
 
 
 def test_min_n_sqrt_fixtures():
-    assert min_n_sqrt(7, 128).min_n == 111
-    assert min_n_sqrt(5, 32).min_n == 31
-    assert min_n_sqrt(2, 4).min_n == 5
-    assert not min_n_sqrt(7, 128).clamped
+    assert min_n(SQRT, 7, 128, 2).min_n == 111
+    assert min_n(SQRT, 5, 32, 2).min_n == 31
+    assert min_n(SQRT, 2, 4, 2).min_n == 5
+    assert not min_n(SQRT, 7, 128, 2).clamped
 
 
 def test_min_n_baseline_fixtures():
-    assert min_n_baseline(5, 2).min_n == 7
-    assert min_n_baseline(15, 2).min_n == 19
+    assert min_n(BASELINE, 5, 2, 1).min_n == 7
+    assert min_n(BASELINE, 15, 2, 1).min_n == 19
     for t in (1, 3, 9):
-        assert min_n_baseline(1, t).min_n == 0
+        assert min_n(BASELINE, 1, t, 1).min_n == 0
 
 
 def test_construction_length():
@@ -245,16 +247,16 @@ def test_chain_table_cells():
 
 def test_certified_minimum_property_random_draws():
     rng = random.Random(20250810)
-    for _ in range(200):
-        k = rng.randrange(1, 21)
-        t = rng.randrange(1, 65)
-        r = rng.randrange(1, 7)
+    draws = [(rng.randrange(1, 21), rng.randrange(1, 65), rng.randrange(1, 7)) for _ in range(200)]
+    # caps at which (2^k - 1)(r-1)! exceeds the float range
+    draws += [(rng.randrange(1, 21), rng.randrange(1, 65), r) for r in (171, 200) for _ in range(2)]
+    for k, t, r in draws:
         checks = [
-            (min_n_product(k, t, r), lambda n: product_cert(n, k, t, r), 0),
-            (min_n_amgm(k, t, r), lambda n: amgm_cert(n, k, t, r), 0),
-            (min_n_chain(k, t, r), lambda n: chain_cert(n, k, t, r), 0),
-            (min_n_sqrt(k, t), lambda n: sqrt_cert(n, k, t), 1),
-            (min_n_baseline(k, t), lambda n: baseline_cert(n, k, t), 0),
+            (min_n(PRODUCT, k, t, r), lambda n: product_cert(n, k, t, r), 0),
+            (min_n(AMGM, k, t, r), lambda n: amgm_cert(n, k, t, r), 0),
+            (min_n(CHAIN, k, t, r), lambda n: chain_cert(n, k, t, r), 0),
+            (min_n(SQRT, k, t, r), lambda n: sqrt_cert(n, k, t), 1),
+            (min_n(BASELINE, k, t, r), lambda n: baseline_cert(n, k, t), 0),
         ]
         for outcome, cert, lowest in checks:
             if outcome.clamped:
@@ -267,7 +269,10 @@ def test_certified_minimum_property_random_draws():
                 assert not cert(outcome.raw_min_n - 1)
 
 
-def test_sqrt_warns_nothing_but_takes_no_r():
-    # signature-level regression: the solver is cap-2 only
-    with pytest.raises(TypeError):
-        min_n_sqrt(3, 2, 2)  # type: ignore[call-arg]
+def test_sqrt_and_baseline_ignore_r():
+    # sqrt fixes cap 2 and baseline cap 1, whatever r the caller passes
+    for k, t in [(3, 2), (7, 128), (12, 5)]:
+        for bound_id in (SQRT, BASELINE):
+            assert len({min_n(bound_id, k, t, r) for r in (0, 1, 2, 3, 200)}) == 1
+    with pytest.raises(ValueError):
+        min_n(EXACT, 3, 2, 2)

@@ -89,6 +89,14 @@ def test_minn_sqrt_warns_on_other_cap():
     assert "warning" in err
 
 
+@pytest.mark.parametrize("bound", ["chain", "amgm"])
+def test_minn_huge_cap_exits_cleanly(bound):
+    # (2^k - 1)(r-1)! is far beyond the float range at r = 200
+    got = run_cli("minn", "--k", "3", "--t", "2", "--r", "200", "--bound", bound)
+    out = {"chain": "-\nfloor=399 raw=174\n", "amgm": "-\nfloor=202 raw=76\n"}[bound]
+    assert got == (EX_OK, out, "")
+
+
 def test_minn_unknown_bound_is_usage_error():
     code, _, err = run_cli("minn", "--k", "3", "--t", "8", "--bound", "bogus")
     assert code == EX_USAGE and "error:" in err

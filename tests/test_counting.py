@@ -228,14 +228,14 @@ def test_series_numerators_match_fraction_oracle():
             oracle = frac_poly_power(r, t, r * t)
             product_form = egf_product_numerators(t, r)
             assert product_form[:t] == (0,) * t
-            assert product_form[t:] == egf_numerators(t, r)
-            for m, c in enumerate(egf_numerators(t, r), start=t):
+            assert product_form[t:] == egf_numerators(t, r, r * t)
+            for m, c in enumerate(egf_numerators(t, r, r * t), start=t):
                 assert Fraction(c, factorial(m)) == oracle[m]
 
 
 def test_series_numerators_are_integers_by_type():
     assert all(isinstance(c, int) for c in egf_product_numerators(4, 3))
-    assert all(isinstance(c, int) for c in egf_numerators(4, 3))
+    assert all(isinstance(c, int) for c in egf_numerators(4, 3, 12))
 
 
 def test_numerator_recurrence_divides_exactly():
@@ -243,13 +243,21 @@ def test_numerator_recurrence_divides_exactly():
     for r in range(1, 7):
         r_fact = factorial(r)
         for t in range(0, 13):
-            c = egf_numerators(t, r)
+            c = egf_numerators(t, r, r * t)
             assert len(c) == (r - 1) * t + 1 and c[0] == factorial(t)
             for m in range(1, len(c)):
                 rhs = sum((t * i - m + i) * falling_factorial(t + m, i)
                           * (r_fact // factorial(i + 1)) * c[m - i]
                           for i in range(1, min(m, r - 1) + 1))
                 assert m * r_fact * c[m] == rhs
+
+
+def test_numerators_up_to_n_are_a_prefix():
+    for r in range(1, 6):
+        for t in range(0, 9):
+            full = egf_numerators(t, r, r * t)
+            for n in range(t, r * t + 3):
+                assert egf_numerators(t, r, n) == full[:n - t + 1]
 
 
 def test_egf_count_matches_table_on_large_grid():
