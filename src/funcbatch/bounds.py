@@ -217,7 +217,6 @@ def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     return rows
 
 
-CHAIN_TABLE_KS = range(5, 16)
 CHAIN_TABLE_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3), (2, 5))
 
 
@@ -231,9 +230,9 @@ class ChainBoundRow:
 
 
 def chain_bound_table() -> list[ChainBoundRow]:
-    """Chain-bound minima for each (t, r) in CHAIN_TABLE_CONFIGS, keyed by dimension k."""
+    """Chain-bound minima for each (t, r) in CHAIN_TABLE_CONFIGS, for dimensions k = 5..15."""
     rows = []
-    for k in CHAIN_TABLE_KS:
+    for k in range(5, 16):
         cells = tuple(min_n(CHAIN, k, t, r) for (t, r) in CHAIN_TABLE_CONFIGS)
         rows.append(ChainBoundRow(k=k, baseline_min=min_n(BASELINE, k, 2, 1).min_n, cells=cells))
     return rows

@@ -102,8 +102,8 @@ def test_minn_unknown_bound_is_usage_error():
     assert code == EX_USAGE and "error:" in err
 
 
-# Byte-for-byte CLI output, pinned before the closed-form bounds were merged
-# into one table-driven solver.
+# Byte-for-byte CLI output of the table emitters and the bound solvers; a
+# refactor of either must leave it unchanged.
 TABLE_GOLDENS = {
     "2": (
         "k,t,sqrt,exact,construction\n"
