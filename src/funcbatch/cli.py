@@ -6,10 +6,15 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from funcbatch import bounds, codecheck, counting
-from funcbatch.gf2 import BitVec, GeneratorMatrix
+# only what the parser needs is imported here (bounds, for --bound); each
+# command imports the engine it runs, so only verify and construct load the
+# verifier, and only a verify that starts workers loads the process pool
+from funcbatch import bounds
+
+if TYPE_CHECKING:
+    from funcbatch.gf2 import GeneratorMatrix
 
 EX_OK = 0
 EX_FALSIFIED = 1
@@ -38,6 +43,8 @@ def parse_matrix(text: str) -> GeneratorMatrix:
 
     Lines starting with '#' and blank lines are skipped.
     """
+    from funcbatch.gf2 import GeneratorMatrix
+
     header: Optional[tuple[int, int]] = None
     rows: list[list[int]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -157,16 +164,19 @@ def chain_table_csv() -> CsvTable:
     return CsvTable(header=header, rows=tuple(rows), comments=tuple(notes))
 
 
+# --method name -> function in funcbatch.counting
 _COUNT_METHODS = {
-    "direct": counting.labelling_count_direct,
-    "rec": counting.labelling_count,
-    "egf": counting.labelling_count_egf,
+    "direct": "labelling_count_direct",
+    "rec": "labelling_count",
+    "egf": "labelling_count_egf",
 }
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from funcbatch import counting
+
     try:
-        value = _COUNT_METHODS[args.method](args.n, args.t, args.r)
+        value = getattr(counting, _COUNT_METHODS[args.method])(args.n, args.t, args.r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     print(value)
@@ -174,13 +184,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_minn(args: argparse.Namespace) -> int:
-    k, t, r = args.k, args.t, args.r
+    k, t, r = args.k, args.t, 2 if args.r is None else args.r
     try:
         if args.bound == bounds.EXACT:
             print(bounds.min_n_exact(k, t, r))
             return EX_OK
-        if args.bound == bounds.SQRT and r != 2:
-            print(f"warning: sqrt bound assumes cap 2; ignoring --r {r}", file=sys.stderr)
+        cap = bounds._SPECS[args.bound].cap
+        if args.r is not None and cap is not None and args.r != cap:
+            print(f"warning: {args.bound} bound assumes cap {cap}; ignoring --r {args.r}",
+                  file=sys.stderr)
         outcome = bounds.min_n(args.bound, k, t, r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -205,6 +217,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
+    from funcbatch import codecheck
+
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as handle:
             return parse_matrix(handle.read())
@@ -226,10 +240,14 @@ def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
 def _format_query(word: int, k: int, pretty: bool) -> str:
     if not pretty:
         return str(word)
+    from funcbatch.gf2 import BitVec
+
     return "".join(str(b) for b in BitVec(word, k).bits())
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from funcbatch import codecheck
+
     matrix = _load_matrix(args)
     budget_seconds = args.budget_seconds
     if budget_seconds is None:
@@ -266,6 +284,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from funcbatch import codecheck
+
     try:
         if args.which == "simplex":
             matrix = codecheck.simplex(args.k)
@@ -296,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_minn = sub.add_parser("minn", help="minimal length under a chosen lower bound")
     p_minn.add_argument("--k", type=int, required=True)
     p_minn.add_argument("--t", type=int, required=True)
-    p_minn.add_argument("--r", type=int, default=2)
+    p_minn.add_argument("--r", type=int, default=None,
+                        help="recovery-set cap, default 2; sqrt and baseline fix their own")
     p_minn.add_argument("--bound", choices=bounds.BOUND_IDS, required=True)
     p_minn.set_defaults(func=_cmd_minn)
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import time
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
@@ -322,8 +321,9 @@ def _chunks(total: int, jobs: int, reps: Optional[Ranked],
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
-    """Processes to start: never more than requested, than CPUs, or than chunks."""
-    return max(1, min(jobs, os.cpu_count() or 1, chunks))
+    """Processes to start: never more than requested, than usable CPUs, or than chunks."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(jobs, cpus, chunks))
 
 
 def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
@@ -378,11 +378,13 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     full sweep.
 
     jobs splits the sweep into that many contiguous lex ranges, run by at
-    most os.cpu_count() processes; what budget_batches leaves after the
-    screen is split over the ranges actually made, the first ones taking
-    the remainder.  The earliest failing range gives the counterexample;
-    with deterministic=True a range cut off by a budget ahead of it makes
-    the verdict undecided instead, as at jobs=1.
+    most as many processes as there are CPUs this process may use (its
+    affinity mask where the platform has one, else os.cpu_count()); what
+    budget_batches leaves after the screen is split over the ranges
+    actually made, the first ones taking the remainder.  The earliest
+    failing range gives the counterexample; with deterministic=True a range
+    cut off by a budget ahead of it makes the verdict undecided instead, as
+    at jobs=1.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -424,6 +426,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     if workers == 1:
         results = [_scan_chunk(*task) for task in tasks]
     else:
+        # imported here: the pool's modules cost a launch ~30 ms that only fan-out needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_scan_chunk, *task) for task in tasks]
             results = [fut.result() for fut in futures]

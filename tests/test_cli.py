@@ -89,6 +89,14 @@ def test_minn_sqrt_warns_on_other_cap():
     assert "warning" in err
 
 
+@pytest.mark.parametrize("bound", ["exact", "chain", "sqrt", "baseline"])
+def test_minn_r_defaults_to_two_and_only_a_given_r_warns(bound):
+    implicit = run_cli("minn", "--k", "5", "--t", "4", "--bound", bound)
+    explicit = run_cli("minn", "--k", "5", "--t", "4", "--r", "2", "--bound", bound)
+    assert implicit[:2] == explicit[:2] and implicit[0] == EX_OK
+    assert implicit[2] == ""
+
+
 @pytest.mark.parametrize("bound", ["chain", "amgm"])
 def test_minn_huge_cap_exits_cleanly(bound):
     # (2^k - 1)(r-1)! is far beyond the float range at r = 200
@@ -182,14 +190,15 @@ MINN_GOLDENS = {
     ("sqrt", 1, 4, 1): (0, "4\n", "warning: sqrt bound assumes cap 2; ignoring --r 1\n"),
     ("sqrt", 4, 3, 0): (0, "7\n", "warning: sqrt bound assumes cap 2; ignoring --r 0\n"),
     ("sqrt", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
-    ("baseline", 7, 2, 5): (0, "9\n", ""),
-    ("baseline", 5, 2, 5): (0, "7\n", ""),
-    ("baseline", 10, 2, 3): (0, "13\n", ""),
-    ("baseline", 3, 8, 2): (0, "8\n", ""),
-    ("baseline", 5, 32, 3): (0, "32\n", ""),
+    ("baseline", 7, 2, 5): (0, "9\n", "warning: baseline bound assumes cap 1; ignoring --r 5\n"),
+    ("baseline", 5, 2, 5): (0, "7\n", "warning: baseline bound assumes cap 1; ignoring --r 5\n"),
+    ("baseline", 10, 2, 3): (0, "13\n", "warning: baseline bound assumes cap 1; ignoring --r 3\n"),
+    ("baseline", 3, 8, 2): (0, "8\n", "warning: baseline bound assumes cap 1; ignoring --r 2\n"),
+    ("baseline", 5, 32, 3): (0, "32\n", "warning: baseline bound assumes cap 1; ignoring --r 3\n"),
     ("baseline", 1, 4, 1): (0, "0\n", ""),
-    ("baseline", 4, 3, 0): (0, "6\n", ""),
-    ("baseline", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
+    ("baseline", 4, 3, 0): (0, "6\n", "warning: baseline bound assumes cap 1; ignoring --r 0\n"),
+    ("baseline", 25, 2, 2): (64, "", "warning: baseline bound assumes cap 1; ignoring --r 2\n"
+                              "error: k must be in 1..24, got 25\n"),
 }
 
 

@@ -457,10 +457,15 @@ def test_full_sweep_searches_every_checked_batch(matrix, t, deterministic):
 
 
 def test_worker_count_clamp(monkeypatch):
-    monkeypatch.setattr(codecheck.os, "cpu_count", lambda: 2)
+    # the cap is the CPUs this process may use (e.g. under taskset), not the host's
+    monkeypatch.setattr(codecheck.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(codecheck.os, "cpu_count", lambda: 64)
     assert _worker_count(8, 8) == 2
     assert _worker_count(2, 1) == 1
     assert _worker_count(1, 4) == 1
     assert _worker_count(0, 4) == 1
+    # a platform without affinity masks falls back to the CPU count, 1 if unknown
+    monkeypatch.delattr(codecheck.os, "sched_getaffinity", raising=False)
+    assert _worker_count(8, 8) == 8
     monkeypatch.setattr(codecheck.os, "cpu_count", lambda: None)
     assert _worker_count(4, 4) == 1

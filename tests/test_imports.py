@@ -1,0 +1,96 @@
+"""The import graph: a launch loads only the engine modules its subcommand runs.
+
+Each check runs in a fresh interpreter, since this test process has already
+imported every module.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import funcbatch
+from funcbatch.codecheck import _worker_count
+
+SRC = str(Path(funcbatch.__file__).resolve().parents[1])
+ENGINES = ("bounds", "codecheck", "counting", "gf2")
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def launch(code):
+    """Run code in a fresh interpreter; returns (stdout lines before the last, loaded modules)."""
+    script = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    return out, set(modules.split())
+
+
+def pool_loaded(modules):
+    return any(m == p or m.startswith(p + ".") for m in modules for p in POOL_MODULES)
+
+
+def test_package_import_loads_no_engine():
+    out, modules = launch("import funcbatch\nprint(' '.join(dir(funcbatch)))")
+    assert {m for m in modules if m.startswith("funcbatch.")} == set()
+    # dir lists every public name and submodule before any is resolved
+    assert set(funcbatch.__all__) | set(ENGINES) <= set(out[0].split())
+
+
+def test_cli_import_loads_no_process_pool():
+    _, modules = launch("import funcbatch.cli")
+    assert not pool_loaded(modules)
+    assert "funcbatch.codecheck" not in modules
+
+
+def test_minn_launch_leaves_codecheck_unloaded():
+    out, modules = launch(
+        "from funcbatch import cli\n"
+        "print(cli.main(['minn', '--k', '5', '--t', '32', '--r', '3', '--bound', 'exact']))")
+    assert out == ["38", "0"]
+    assert "funcbatch.codecheck" not in modules
+    assert not pool_loaded(modules)
+
+
+@pytest.mark.skipif(_worker_count(2, 2) < 2, reason="one usable CPU starts no pool")
+def test_parallel_verify_still_starts_the_pool(tmp_path):
+    # not invariant (1 three times, 2 and 3 absent), so the full sweep is split over 2 workers
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("3 7\n0 0 1 1 1 1 1\n0 1 0 0 1 0 0\n1 1 0 0 1 1 0\n")
+    runs = {}
+    for jobs in (1, 2):
+        runs[jobs] = launch(
+            "from funcbatch import cli\n"
+            f"print(cli.main(['verify', '--matrix', {str(matrix)!r}, '--t', '3', '--r', '2',"
+            f" '--deterministic', '--jobs', '{jobs}']))")
+    assert runs[1][0] == runs[2][0] == ["fails", "1 2 3", "1"]
+    assert not pool_loaded(runs[1][1])
+    assert "concurrent.futures.process" in runs[2][1]
+
+
+def test_every_public_name_is_the_submodules_object():
+    submodules = [importlib.import_module(f"funcbatch.{name}") for name in ENGINES]
+    for name in funcbatch.__all__:
+        owners = [m for m in submodules if name in vars(m)]
+        assert owners, name
+        assert all(getattr(funcbatch, name) is getattr(m, name) for m in owners), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from funcbatch import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(funcbatch.__all__)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        funcbatch.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from funcbatch import no_such_name", {})
