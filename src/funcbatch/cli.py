@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 # only what the parser needs is imported here (bounds, for --bound); each
 # command imports the engine it runs, so only verify and construct load the
-# verifier, and only a verify that starts workers loads the process pool
+# verifier
 from funcbatch import bounds
 
 if TYPE_CHECKING:

@@ -24,13 +24,14 @@ representative is settled.
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from funcbatch.gf2 import GeneratorMatrix
 
@@ -172,8 +173,9 @@ class Verdict:
     assignments_checked counts the screened batches plus the length of the
     lex prefix of all multisets that the sweep settled (at jobs=1; parallel
     runs add up every chunk's prefix).  batches_searched counts the
-    find_disjoint_assignment calls, screen included; it is smaller only
-    when the symmetry reduction settles batches without searching them.
+    batches the sweep decided, screen included, whether first fit or the
+    complete search decided them; it is smaller only when the symmetry
+    reduction settles batches without deciding them one by one.
     """
 
     status: str
@@ -321,15 +323,44 @@ def _chunks(total: int, jobs: int, reps: Optional[Ranked],
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
-    """Processes to start: never more than requested, than usable CPUs, or than chunks."""
+    """Processes to run: never more than requested, than usable CPUs, or than chunks.
+
+    1 where the platform cannot fork.
+    """
+    if not hasattr(os, "fork"):
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(jobs, cpus, chunks))
+
+
+def _serves(catalog: RecoveryCatalog, table: Sequence[tuple[int, ...]],
+            batch: Sequence[int]) -> bool:
+    """Whether the batch admits disjoint recovery sets; table[w] is catalog.sets' tuple for w.
+
+    First fit decides most batches: the queries, last first, each take their
+    first candidate disjoint from the columns already taken.  That is a
+    valid disjoint assignment when it reaches the end; when a query finds
+    no candidate, find_disjoint_assignment's complete search decides.
+    """
+    used = 0
+    for w in reversed(batch):
+        for mask in table[w]:
+            if not mask & used:
+                used |= mask
+                break
+        else:
+            return find_disjoint_assignment(catalog, batch) is not None
+    return True
+
+
+# (settled, searched, failure, out_of_budget) of one lex range
+ChunkResult = tuple[int, int, Optional[tuple[int, ...]], bool]
 
 
 def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
                 reps: Optional[Ranked],
                 deadline: Optional[float], max_batches: Optional[int],
-                ) -> tuple[int, int, Optional[tuple[int, ...]], bool]:
+                ) -> ChunkResult:
     """Search the lex range of ranks lo..hi-1; returns (settled, searched, failure, out_of_budget).
 
     reps None searches every multiset in the range; otherwise only the given
@@ -340,6 +371,7 @@ def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
     limit = hi - lo if max_batches is None else min(hi - lo, max_batches)
     if reps is None:
         reps = zip(range(lo, hi), _multisets_from(_unrank_multiset(lo, q, t), q)) if lo < hi else ()
+    table = [catalog.sets.get(w, ()) for w in range(q + 1)]
     searched = 0
     for rank, batch in reps:
         done = rank - lo
@@ -348,9 +380,75 @@ def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
         if deadline is not None and time.monotonic() > deadline:
             return done, searched, None, True
         searched += 1
-        if find_disjoint_assignment(catalog, batch) is None:
+        if not _serves(catalog, table, batch):
             return done + 1, searched, batch, False
     return limit, searched, None, limit < hi - lo
+
+
+def _scan_forked(tasks: Sequence[tuple], workers: int) -> list[ChunkResult]:
+    """_scan_chunk over every task in this process plus workers - 1 forked children.
+
+    Process i (this one is 0) scans tasks i, i + workers, ... in order.  The
+    children inherit the catalog and the tasks, so nothing is pickled; each
+    sends its results back through a pipe with marshal and leaves with
+    os._exit.  A child that fails or dies makes this raise; whenever this
+    raises, every child still running is killed and reaped first.  Results
+    come back in task order.
+    """
+    pipes: list[int] = []  # read end of child i's pipe at index i - 1
+    running: list[int] = []  # pids not yet reaped, in child order
+    try:
+        for i in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child_scan(tasks[i::workers], write_end)
+            finally:
+                os.close(write_end)
+            running.append(pid)
+        results: list = [None] * len(tasks)
+        results[::workers] = [_scan_chunk(*task) for task in tasks[::workers]]
+        for i, read_end in enumerate(pipes, 1):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(running[0], 0)
+            running.pop(0)
+            if status:
+                raise RuntimeError(f"verify worker {i} ended with wait status {status}")
+            ok, value = marshal.loads(payload)
+            if not ok:
+                raise RuntimeError(f"verify worker {i} failed:\n{value}")
+            results[i::workers] = value
+        return results
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+        if running:
+            from signal import SIGKILL
+
+            for pid in running:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child_scan(tasks: Sequence[tuple], write_end: int) -> NoReturn:
+    """Body of a forked worker: scan the tasks, send (ok, results or traceback), exit."""
+    status = 1
+    try:
+        try:
+            payload = marshal.dumps((True, [_scan_chunk(*task) for task in tasks]))
+        except Exception:
+            import traceback
+
+            payload = marshal.dumps((False, traceback.format_exc()))
+        with open(write_end, "wb", closefd=False) as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        # never return into the parent's stack, whatever was raised
+        os._exit(status)
 
 
 def verify(matrix: GeneratorMatrix, t: int, r: int, *,
@@ -377,9 +475,15 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     this path with the same verdicts, counterexamples and counts as the
     full sweep.
 
+    Each swept batch is tried by greedy first fit before the complete
+    search, which decides only the batches first fit cannot serve.
+
     jobs splits the sweep into that many contiguous lex ranges, run by at
     most as many processes as there are CPUs this process may use (its
-    affinity mask where the platform has one, else os.cpu_count()); what
+    affinity mask where the platform has one, else os.cpu_count()): this
+    process and forked children, range i going to process i modulo their
+    number.  Platforms without os.fork run every range in this process.
+    Do not call it with jobs > 1 from a process that runs threads.  What
     budget_batches leaves after the screen is split over the ranges
     actually made, the first ones taking the remainder.  The earliest
     failing range gives the counterexample; with deterministic=True a range
@@ -426,12 +530,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     if workers == 1:
         results = [_scan_chunk(*task) for task in tasks]
     else:
-        # imported here: the pool's modules cost a launch ~30 ms that only fan-out needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_chunk, *task) for task in tasks]
-            results = [fut.result() for fut in futures]
+        results = _scan_forked(tasks, workers)
     # the earliest failing range carries the lexicographically least
     # counterexample, unless an earlier range was cut off before reaching a
     # smaller one: deterministic mode then reports undecided

@@ -15,6 +15,7 @@ from funcbatch.codecheck import (
     _multisets_from,
     _rank_multiset,
     _representatives,
+    _serves,
     _unrank_multiset,
     _worker_count,
     build_catalog,
@@ -305,6 +306,28 @@ def test_verify_deterministic_parallel_budget_never_misreports(case, budget):
     v = verify(matrix, t, r, deterministic=True, jobs=2, budget_batches=budget)
     assert v.status == UNDECIDED or (
         v.status, v.counterexample) == (expected.status, expected.counterexample)
+
+
+def brute_force_serves(catalog_sets, batch):
+    """Try every choice of one oracle catalog set per query; True when one is pairwise disjoint."""
+    def extend(pos, used):
+        if pos == len(batch):
+            return True
+        return any(not mask & used and extend(pos + 1, used | mask)
+                   for mask in catalog_sets.get(batch[pos], ()))
+    return extend(0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices(), st.data())
+def test_first_fit_decider_matches_search_and_oracle(case, data):
+    matrix, _, r = case
+    q = (1 << matrix.k) - 1
+    batch = tuple(data.draw(st.lists(st.integers(1, q), min_size=1, max_size=5)))
+    cat = build_catalog(matrix, r)
+    table = [cat.sets.get(w, ()) for w in range(q + 1)]
+    expected = brute_force_serves(subset_catalog_oracle(matrix, r), batch)
+    assert _serves(cat, table, batch) == (find_disjoint_assignment(cat, batch) is not None) == expected
 
 
 def test_verify_matrix_without_full_span_fails():

@@ -58,20 +58,29 @@ def test_minn_launch_leaves_codecheck_unloaded():
     assert not pool_loaded(modules)
 
 
-@pytest.mark.skipif(_worker_count(2, 2) < 2, reason="one usable CPU starts no pool")
-def test_parallel_verify_still_starts_the_pool(tmp_path):
+@pytest.mark.skipif(_worker_count(2, 2) < 2, reason="one usable CPU forks no worker")
+def test_parallel_verify_forks_without_a_pool(tmp_path):
     # not invariant (1 three times, 2 and 3 absent), so the full sweep is split over 2 workers
     matrix = tmp_path / "m.txt"
     matrix.write_text("3 7\n0 0 1 1 1 1 1\n0 1 0 0 1 0 0\n1 1 0 0 1 1 0\n")
     runs = {}
     for jobs in (1, 2):
         runs[jobs] = launch(
+            "import os\n"
+            "forks = []\n"
+            "real_fork = os.fork\n"
+            "def fork():\n"
+            "    forks.append(1)\n"
+            "    return real_fork()\n"
+            "os.fork = fork\n"
             "from funcbatch import cli\n"
             f"print(cli.main(['verify', '--matrix', {str(matrix)!r}, '--t', '3', '--r', '2',"
-            f" '--deterministic', '--jobs', '{jobs}']))")
-    assert runs[1][0] == runs[2][0] == ["fails", "1 2 3", "1"]
+            f" '--deterministic', '--jobs', '{jobs}']))\n"
+            "print(len(forks))")
+    assert runs[1][0] == ["fails", "1 2 3", "1", "0"]
+    assert runs[2][0] == ["fails", "1 2 3", "1", "1"]
     assert not pool_loaded(runs[1][1])
-    assert "concurrent.futures.process" in runs[2][1]
+    assert not pool_loaded(runs[2][1])
 
 
 def test_every_public_name_is_the_submodules_object():
