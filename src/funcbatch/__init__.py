@@ -24,60 +24,15 @@ _EXPORTS = {
         "find_disjoint_assignment", "simplex", "verify",
     ),
     "counting": (
-        "LabellingTable", "falling_factorial", "labelling_count",
-        "labelling_count_direct", "labelling_count_egf", "labelling_upper_general",
-        "labelling_upper_iterated", "labelling_upper_r2", "multinomial",
+        "LabellingTable", "labelling_count", "labelling_count_direct", "labelling_count_egf",
     ),
-    "gf2": (
-        "BitVec", "GeneratorMatrix", "column_mask", "encode", "in_span",
-        "is_independent_and_sums_to", "mask_columns", "rank",
-    ),
+    "gf2": ("GeneratorMatrix", "rank"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMGM",
-    "BASELINE",
-    "BOUND_IDS",
-    "CHAIN",
-    "EXACT",
-    "PRODUCT",
-    "SQRT",
-    "BitVec",
-    "BoundOutcome",
-    "CodeParams",
-    "GeneratorMatrix",
-    "LabellingTable",
-    "RecoveryCatalog",
-    "Verdict",
-    "build_catalog",
-    "chain_bound_table",
-    "column_mask",
-    "construction_length",
-    "double_simplex",
-    "encode",
-    "falling_factorial",
-    "find_disjoint_assignment",
-    "in_span",
-    "is_independent_and_sums_to",
-    "labelling_count",
-    "labelling_count_direct",
-    "labelling_count_egf",
-    "labelling_upper_general",
-    "labelling_upper_iterated",
-    "labelling_upper_r2",
-    "mask_columns",
-    "min_n",
-    "min_n_exact",
-    "multinomial",
-    "necessary_condition",
-    "r2_comparison_table",
-    "rank",
-    "simplex",
-    "verify",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

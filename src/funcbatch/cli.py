@@ -108,27 +108,6 @@ def render_csv(table: CsvTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_csv(text: str) -> CsvTable:
-    header: Optional[tuple[str, ...]] = None
-    rows: list[tuple[str, ...]] = []
-    comments: list[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            comments.append(stripped[1:].strip())
-            continue
-        cells = tuple(stripped.split(","))
-        if header is None:
-            header = cells
-        else:
-            rows.append(cells)
-    if header is None:
-        raise ValueError("CSV is empty")
-    return CsvTable(header=header, rows=tuple(rows), comments=tuple(comments))
-
-
 def _cell_text(outcome: bounds.BoundOutcome) -> str:
     if outcome.vacuous:
         return "-"
@@ -216,9 +195,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
+def _construct(name: str, k: int) -> GeneratorMatrix:
     from funcbatch import codecheck
 
+    builders = {"simplex": codecheck.simplex, "double": codecheck.double_simplex}
+    if name not in builders:
+        raise UsageError(f"unknown constructor {name!r}; use simplex:K or double:K")
+    try:
+        return builders[name](k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
     if args.matrix is not None:
         with open(args.matrix, "r", encoding="utf-8") as handle:
             return parse_matrix(handle.read())
@@ -227,22 +216,14 @@ def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
         k = int(num)
     except ValueError:
         raise UsageError("--construct expects simplex:K or double:K") from None
-    try:
-        if name == "simplex":
-            return codecheck.simplex(k)
-        if name == "double":
-            return codecheck.double_simplex(k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown constructor {name!r}; use simplex:K or double:K")
+    return _construct(name, k)
 
 
 def _format_query(word: int, k: int, pretty: bool) -> str:
+    """The query as an int, or with pretty as k bits, coordinate 1 (bit 0) first."""
     if not pretty:
         return str(word)
-    from funcbatch.gf2 import BitVec
-
-    return "".join(str(b) for b in BitVec(word, k).bits())
+    return "".join(str(word >> i & 1) for i in range(k))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -284,16 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    from funcbatch import codecheck
-
-    try:
-        if args.which == "simplex":
-            matrix = codecheck.simplex(args.k)
-        else:
-            matrix = codecheck.double_simplex(args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _write_text(args.out, format_matrix(matrix))
+    _write_text(args.out, format_matrix(_construct(args.which, args.k)))
     return EX_OK
 
 

@@ -121,15 +121,12 @@ def _check_batch(catalog: RecoveryCatalog, batch: Sequence[int]) -> None:
             raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
 
 
-def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int],
-                             deterministic: bool = False) -> Optional[list[int]]:
+def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int]) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
-    Backtracks over queries ordered by ascending candidate count (original
-    order when deterministic, which then yields the lexicographically first
-    assignment in catalog order); candidates are tried smallest set first.
-    Prunes when the remaining queries' minimum set sizes exceed the free
-    columns.
+    Backtracks over queries ordered by ascending candidate count; candidates
+    are tried smallest set first.  Prunes when the remaining queries'
+    minimum set sizes exceed the free columns.
     """
     _check_batch(catalog, batch)
     if not batch:
@@ -140,9 +137,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int],
         if not options:
             return None
         cands.append(options)
-    order = list(range(len(batch)))
-    if not deterministic:
-        order.sort(key=lambda i: len(cands[i]))
+    order = sorted(range(len(batch)), key=lambda i: len(cands[i]))
     min_size = [cands[i][0].bit_count() for i in order]
     suffix_need = [0] * (len(order) + 1)
     for pos in range(len(order) - 1, -1, -1):
@@ -212,20 +207,6 @@ def _unrank_multiset(index: int, q: int, t: int) -> tuple[int, ...]:
             rem -= block
             v += 1
     return tuple(picks[i] - i + 1 for i in range(t))
-
-
-def _rank_multiset(batch: Sequence[int], q: int) -> int:
-    """Inverse of _unrank_multiset."""
-    t = len(batch)
-    m = q + t - 1
-    combo = [batch[i] - 1 + i for i in range(t)]
-    rem = 0
-    prev = -1
-    for i, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            rem += comb(m - v - 1, t - i - 1)
-        prev = c
-    return rem
 
 
 def _multisets_from(first: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:

@@ -1,43 +1,17 @@
-"""Exact counts of bounded-multiplicity labellings and their closed-form ceilings.
+"""Exact counts of bounded-multiplicity labellings.
 
 The central quantity is the number of ways to label n positions with labels
 {0, 1, ..., t} so that every nonzero label appears at least once and at most
-r times.  Everything here is exact: integers throughout, rationals for the
-closed-form ceilings.
+r times.  Three methods compute it in integers throughout: direct summation,
+the memoized recursion of LabellingTable, and the series numerators behind
+the exact counting bound.  The closed-form ceilings on the count are stated
+once, as the bound inequalities of bounds._SPECS.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
-
-
-def falling_factorial(n: int, m: int) -> int:
-    """n(n-1)...(n-m+1); equals 1 for m = 0 and n! for m = n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if not 0 <= m <= n:
-        raise ValueError(f"m must be in 0..{n}, got {m}")
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """n! / (parts[0]! * parts[1]! * ...) for nonnegative parts summing to n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if any(p < 0 for p in parts):
-        raise ValueError("parts must be nonnegative")
-    if sum(parts) != n:
-        raise ValueError(f"parts must sum to {n}, got {sum(parts)}")
-    out = factorial(n)
-    for p in parts:
-        out //= factorial(p)
-    return out
 
 
 def _validate_count_args(n: int, t: int, r: int) -> None:
@@ -149,33 +123,3 @@ def labelling_count_egf(n: int, t: int, r: int) -> int:
     if n < t:
         return 0  # some label has no position; no vector is built
     return sum(comb(n, m) * c for m, c in enumerate(egf_numerators(t, r, n), start=t))
-
-
-def labelling_upper_r2(n: int, t: int) -> Fraction:
-    """Closed-form ceiling (n)_t * (n-t+2)^t / 2^t on the count at per-label cap 2."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if n < t:
-        raise ValueError("requires n >= t")
-    return Fraction(falling_factorial(n, t) * (n - t + 2) ** t, 1 << t)
-
-
-def labelling_upper_general(n: int, t: int, r: int) -> Fraction:
-    """Closed-form ceiling ((n-(t-1)/2) * (n-t)^(r-1) / (r-1)!)^t, valid for n >= t+r."""
-    _validate_count_args(n, t, r)
-    if n < t + r:
-        raise ValueError(f"requires n >= t + r = {t + r}")
-    num = ((2 * n - t + 1) * (n - t) ** (r - 1)) ** t
-    return Fraction(num, (1 << t) * factorial(r - 1) ** t)
-
-
-def labelling_upper_iterated(n: int, t: int, r: int) -> Fraction:
-    """Ceiling (n-(t+r)/2+1)^(rt) / ((r-1)!)^t from iterating the one-label recursion.
-
-    Valid for n >= max(t+1, 2r-1); t = 0 is a degenerate boundary where the
-    empty product gives 1.
-    """
-    _validate_count_args(n, t, r)
-    if n < max(t + 1, 2 * r - 1):
-        raise ValueError(f"requires n >= max(t+1, 2r-1) = {max(t + 1, 2 * r - 1)}")
-    return Fraction((2 * n - t - r + 2) ** (r * t), (1 << (r * t)) * factorial(r - 1) ** t)

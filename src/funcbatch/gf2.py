@@ -1,51 +1,16 @@
-"""Bit-packed GF(2) vectors, generator matrices, and span/rank primitives."""
+"""GF(2) generator matrices stored as packed column words, and column-set rank.
+
+A vector in GF(2)^k is an int whose bit i holds coordinate i+1; a set of
+columns is an int mask whose bit j selects column j.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 MAX_DIMENSION = 24
 MAX_LENGTH = 128
-
-
-@dataclass(frozen=True)
-class BitVec:
-    """Vector in GF(2)^k packed into an int; bit i holds coordinate i+1."""
-
-    word: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.k}")
-        if not 0 <= self.word < (1 << self.k):
-            raise ValueError(f"word {self.word} has bits outside dimension {self.k}")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitVec":
-        entries = tuple(bits)
-        word = 0
-        for i, b in enumerate(entries):
-            if b not in (0, 1):
-                raise ValueError(f"entries must be 0 or 1, got {b!r}")
-            word |= b << i
-        return cls(word, len(entries))
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.word >> i) & 1 for i in range(self.k))
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.k != other.k:
-            raise ValueError("dimension mismatch")
-        return BitVec(self.word ^ other.word, self.k)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.word == 0
-
-    def weight(self) -> int:
-        return self.word.bit_count()
 
 
 @dataclass(frozen=True)
@@ -93,102 +58,18 @@ class GeneratorMatrix:
     def rows(self) -> list[list[int]]:
         return [[(c >> i) & 1 for c in self.cols] for i in range(self.k)]
 
-    def column(self, j: int) -> BitVec:
-        return BitVec(self.cols[j], self.k)
-
-
-def column_mask(indices: Iterable[int]) -> int:
-    """Pack column indices into a set mask."""
-    mask = 0
-    for j in indices:
-        if j < 0:
-            raise ValueError("column indices must be nonnegative")
-        mask |= 1 << j
-    return mask
-
-
-def mask_columns(mask: int) -> tuple[int, ...]:
-    """Unpack a set mask into sorted column indices."""
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
-
-
-def encode(matrix: GeneratorMatrix, x: BitVec) -> int:
-    """Codeword of x under the matrix, packed with bit j = <x, column j>."""
-    if x.k != matrix.k:
-        raise ValueError("dimension mismatch between vector and matrix")
-    y = 0
-    for j, c in enumerate(matrix.cols):
-        y |= ((x.word & c).bit_count() & 1) << j
-    return y
-
-
-def _basis_insert(basis: dict[int, int], word: int) -> bool:
-    """Reduce word against the basis (keyed by leading bit); insert if independent."""
-    while word:
-        h = word.bit_length() - 1
-        if h in basis:
-            word ^= basis[h]
-        else:
-            basis[h] = word
-            return True
-    return False
-
-
-def _check_mask(matrix: GeneratorMatrix, col_mask: int) -> None:
-    if not 0 <= col_mask < (1 << matrix.n):
-        raise ValueError("column mask selects positions outside the matrix")
-
 
 def rank(matrix: GeneratorMatrix, col_mask: int) -> int:
     """Rank over GF(2) of the columns selected by col_mask."""
-    _check_mask(matrix, col_mask)
-    basis: dict[int, int] = {}
-    for j in mask_columns(col_mask):
-        _basis_insert(basis, matrix.cols[j])
+    if not 0 <= col_mask < (1 << matrix.n):
+        raise ValueError("column mask selects positions outside the matrix")
+    basis: dict[int, int] = {}  # reduced word keyed by its leading bit
+    for j, word in enumerate(matrix.cols):
+        if col_mask >> j & 1:
+            while word:
+                h = word.bit_length() - 1
+                if h not in basis:
+                    basis[h] = word
+                    break
+                word ^= basis[h]
     return len(basis)
-
-
-def in_span(matrix: GeneratorMatrix, col_mask: int, alpha: BitVec) -> bool:
-    """True iff the nonzero vector alpha is a GF(2) combination of the selected columns."""
-    if alpha.k != matrix.k:
-        raise ValueError("dimension mismatch between vector and matrix")
-    if alpha.is_zero:
-        raise ValueError("alpha must be nonzero")
-    _check_mask(matrix, col_mask)
-    basis: dict[int, int] = {}
-    for j in mask_columns(col_mask):
-        _basis_insert(basis, matrix.cols[j])
-    w = alpha.word
-    while w:
-        h = w.bit_length() - 1
-        if h not in basis:
-            return False
-        w ^= basis[h]
-    return True
-
-
-def is_independent_and_sums_to(matrix: GeneratorMatrix, col_mask: int, alpha: BitVec) -> bool:
-    """True iff the selected columns are linearly independent and xor to alpha.
-
-    Over GF(2) this is exactly the test for a minimal recovery set: a set
-    whose span contains alpha while no proper subset's span does.
-    """
-    if alpha.k != matrix.k:
-        raise ValueError("dimension mismatch between vector and matrix")
-    _check_mask(matrix, col_mask)
-    basis: dict[int, int] = {}
-    total = 0
-    independent = True
-    for j in mask_columns(col_mask):
-        c = matrix.cols[j]
-        total ^= c
-        if independent:
-            independent = _basis_insert(basis, c)
-    return independent and total == alpha.word

@@ -1,0 +1,57 @@
+"""Reference implementations the tests compare the library against; nothing in src/ calls them."""
+
+from fractions import Fraction
+from math import comb, factorial, perm
+
+
+def in_span(matrix, col_mask, alpha):
+    """True iff the nonzero query alpha is a GF(2) combination of the columns col_mask selects."""
+    if not 0 < alpha < 1 << matrix.k:
+        raise ValueError(f"alpha must be a nonzero {matrix.k}-bit vector")
+    if not 0 <= col_mask < 1 << matrix.n:
+        raise ValueError("column mask selects positions outside the matrix")
+    span = {0}
+    for j, c in enumerate(matrix.cols):
+        if col_mask >> j & 1:
+            span |= {v ^ c for v in span}
+    return alpha in span
+
+
+def labelling_upper_r2(n, t):
+    """Closed-form ceiling (n)_t * (n-t+2)^t / 2^t on the labelling count at per-label cap 2."""
+    if not 0 <= t <= n:
+        raise ValueError("requires 0 <= t <= n")
+    return Fraction(perm(n, t) * (n - t + 2) ** t, 1 << t)
+
+
+def labelling_upper_general(n, t, r):
+    """Closed-form ceiling ((n-(t-1)/2) * (n-t)^(r-1) / (r-1)!)^t, valid for n >= t+r."""
+    if t < 0 or r < 1 or n < t + r:
+        raise ValueError(f"requires t >= 0, r >= 1 and n >= t + r = {t + r}")
+    num = ((2 * n - t + 1) * (n - t) ** (r - 1)) ** t
+    return Fraction(num, (1 << t) * factorial(r - 1) ** t)
+
+
+def labelling_upper_iterated(n, t, r):
+    """Ceiling (n-(t+r)/2+1)^(rt) / ((r-1)!)^t from iterating the one-label recursion.
+
+    Valid for n >= max(t+1, 2r-1); t = 0 is a degenerate boundary where the
+    empty product gives 1.
+    """
+    if t < 0 or r < 1 or n < max(t + 1, 2 * r - 1):
+        raise ValueError(f"requires t >= 0, r >= 1 and n >= max(t+1, 2r-1) = {max(t + 1, 2 * r - 1)}")
+    return Fraction((2 * n - t - r + 2) ** (r * t), (1 << (r * t)) * factorial(r - 1) ** t)
+
+
+def rank_multiset(batch, q):
+    """Lex rank of a sorted multiset among all sorted len(batch)-multisets over 1..q."""
+    t = len(batch)
+    m = q + t - 1
+    combo = [batch[i] - 1 + i for i in range(t)]
+    rem = 0
+    prev = -1
+    for i, c in enumerate(combo):
+        for v in range(prev + 1, c):
+            rem += comb(m - v - 1, t - i - 1)
+        prev = c
+    return rem

@@ -17,10 +17,8 @@ from funcbatch.counting import (
     LabellingTable,
     labelling_count_direct,
     labelling_count_egf,
-    labelling_upper_general,
-    labelling_upper_iterated,
-    labelling_upper_r2,
 )
+from oracles import labelling_upper_general, labelling_upper_iterated, labelling_upper_r2
 from worked_example import worked_example_holds
 
 

@@ -11,14 +11,9 @@ from funcbatch.cli import (
     EX_OK,
     EX_UNDECIDED,
     EX_USAGE,
-    CsvTable,
     MatrixFormatError,
-    chain_table_csv,
     format_matrix,
-    parse_csv,
     parse_matrix,
-    r2_table_csv,
-    render_csv,
 )
 from funcbatch.codecheck import double_simplex, simplex
 
@@ -240,13 +235,6 @@ def test_table_unwritable_path_is_io_error(tmp_path):
     assert code == EX_IO and "error:" in err
 
 
-def test_csv_round_trip():
-    for table in (r2_table_csv(), chain_table_csv()):
-        assert parse_csv(render_csv(table)) == table
-    tiny = CsvTable(header=("a", "b"), rows=(("1", "-"), ("2*", "3")), comments=("note",))
-    assert parse_csv(render_csv(tiny)) == tiny
-
-
 def test_verify_construct_simplex2_holds():
     code, out, _ = run_cli("verify", "--construct", "simplex:2", "--t", "2", "--r", "2")
     assert code == EX_OK and out.splitlines()[0] == "holds"
@@ -262,6 +250,14 @@ def test_verify_pretty_counterexample():
     code, out, _ = run_cli("verify", "--construct", "simplex:3", "--t", "5", "--r", "2", "--pretty")
     assert code == EX_FALSIFIED
     assert out.splitlines()[1] == "111 111 111 111 111"
+
+
+def test_verify_pretty_prints_coordinate_one_first():
+    # the lex-least counterexample is query 1, the unit vector of coordinate 1 (bit 0)
+    code, out, _ = run_cli("verify", "--construct", "simplex:3", "--t", "5", "--r", "2",
+                           "--pretty", "--deterministic")
+    assert code == EX_FALSIFIED
+    assert out.splitlines()[1] == "100 100 100 100 100"
 
 
 def test_verify_double_construct_holds():

@@ -2,7 +2,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
@@ -11,15 +11,11 @@ from hypothesis import strategies as st
 from funcbatch.counting import (
     LabellingTable,
     egf_numerators,
-    falling_factorial,
     labelling_count,
     labelling_count_direct,
     labelling_count_egf,
-    labelling_upper_general,
-    labelling_upper_iterated,
-    labelling_upper_r2,
-    multinomial,
 )
+from oracles import labelling_upper_general, labelling_upper_iterated, labelling_upper_r2
 
 
 def brute_force_count(n, t, r):
@@ -30,64 +26,6 @@ def brute_force_count(n, t, r):
         if all(1 <= tally.get(l, 0) <= r for l in range(1, t + 1)):
             total += 1
     return total
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def test_falling_factorial_values():
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(9, 0) == 1
-    assert falling_factorial(0, 0) == 1
-    assert falling_factorial(7, 7) == 5040
-
-
-def test_falling_factorial_rejects_bad_args():
-    with pytest.raises(ValueError):
-        falling_factorial(3, 4)
-    with pytest.raises(ValueError):
-        falling_factorial(3, -1)
-    with pytest.raises(ValueError):
-        falling_factorial(-1, 0)
-
-
-def test_multinomial_values():
-    assert multinomial(4, (2, 2)) == 6
-    assert multinomial(9, (9,)) == 1
-    assert multinomial(0, ()) == 1
-    parts = (2, 1, 1, 1, 1, 1, 1, 2)
-    expected = factorial(10)
-    for p in parts:
-        expected //= factorial(p)
-    assert expected == 907200
-    assert multinomial(10, parts) == expected
-
-
-def test_multinomial_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        multinomial(4, (2, 1))
-    with pytest.raises(ValueError):
-        multinomial(4, (5, -1))
-
-
-def test_multinomial_theorem_identity():
-    points = [(2,), (1, 3), (2, 1, 2), (1, 1, 1)]
-    for xs in points:
-        m = len(xs)
-        for n in range(0, 7):
-            total = 0
-            for combo in compositions(n, m):
-                term = multinomial(n, combo)
-                for x, i in zip(xs, combo):
-                    term *= x ** i
-                total += term
-            assert total == sum(xs) ** n
 
 
 def test_count_matches_brute_force_oracle():
@@ -136,7 +74,7 @@ def test_table_agrees_with_direct_on_audit_grid():
 def test_cap_one_count_is_falling_factorial():
     for n in range(0, 10):
         for t in range(0, n + 1):
-            assert labelling_count(n, t, 1) == falling_factorial(n, t)
+            assert labelling_count(n, t, 1) == perm(n, t)
 
 
 def test_count_monotone_in_n_and_r():
@@ -246,7 +184,7 @@ def test_numerator_recurrence_divides_exactly():
             c = egf_numerators(t, r, r * t)
             assert len(c) == (r - 1) * t + 1 and c[0] == factorial(t)
             for m in range(1, len(c)):
-                rhs = sum((t * i - m + i) * falling_factorial(t + m, i)
+                rhs = sum((t * i - m + i) * perm(t + m, i)
                           * (r_fact // factorial(i + 1)) * c[m - i]
                           for i in range(1, min(m, r - 1) + 1))
                 assert m * r_fact * c[m] == rhs
@@ -325,4 +263,4 @@ def test_falling_factorial_mean_inequality():
     for n in range(1, 31):
         for m in range(1, n + 1):
             mid = Fraction(2 * n - m + 1, 2) ** m
-            assert falling_factorial(n, m) <= mid <= n ** m
+            assert perm(n, m) <= mid <= n ** m

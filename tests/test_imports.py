@@ -1,4 +1,5 @@
-"""The import graph: a launch loads only the engine modules its subcommand runs.
+"""The import graph: a launch loads only the engine modules its subcommand runs,
+and only the package and the standard library.
 
 Each check runs in a fresh interpreter, since this test process has already
 imported every module.
@@ -16,6 +17,7 @@ import funcbatch
 from funcbatch.codecheck import _worker_count
 
 SRC = str(Path(funcbatch.__file__).resolve().parents[1])
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
 ENGINES = ("bounds", "codecheck", "counting", "gf2")
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
@@ -56,6 +58,32 @@ def test_minn_launch_leaves_codecheck_unloaded():
     assert out == ["38", "0"]
     assert "funcbatch.codecheck" not in modules
     assert not pool_loaded(modules)
+
+
+def test_commands_load_only_the_package_and_stdlib(tmp_path):
+    commands = [
+        ["count", "--n", "9", "--t", "3", "--r", "3"],
+        ["minn", "--k", "5", "--t", "32", "--bound", "exact"],
+        ["table", "--which", "2", "--out", str(tmp_path / "t2.csv")],
+        ["verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--jobs", "1"],
+        ["construct", "--which", "double", "--k", "3", "--out", str(tmp_path / "d3.txt")],
+    ]
+    out, modules = launch(f"from funcbatch import cli\nprint([cli.main(a) for a in {commands!r}])")
+    assert out[-1] == "[0, 0, 0, 0, 0]"
+    # site hooks of the installation load modules before any code runs
+    _, bare = launch("")
+    extra = {m for m in modules - bare
+             if m.split(".")[0] not in ("funcbatch", *sys.stdlib_module_names)}
+    assert extra == set()
+
+
+def test_bench_tracer_targets_resolve():
+    # bench/tracer.py wraps these functions by name; a rename must fail here
+    out, _ = launch(f"import sys\nsys.path.insert(0, {BENCH!r})\n"
+                    "from tracer import TARGETS, Tracer, install\n"
+                    "tracer = Tracer()\ninstall(tracer)\nprint(len(TARGETS), len(tracer.spans))")
+    targets, spans = map(int, out[-1].split())
+    assert spans == targets > 0
 
 
 @pytest.mark.skipif(_worker_count(2, 2) < 2, reason="one usable CPU forks no worker")

@@ -1,7 +1,7 @@
 """The canonical [3,2,2,2] recovery table, shared by the codecheck and acceptance tests."""
 
 from funcbatch.codecheck import simplex
-from funcbatch.gf2 import BitVec, in_span
+from oracles import in_span
 
 # query pair -> disjoint recovery sets (as masks) for the [3,2,2,2] code with
 # columns (1,0), (0,1), (1,1)
@@ -27,6 +27,6 @@ def worked_example_holds():
         for w, mask in zip(queries, masks):
             if mask.bit_count() > 2:
                 return False
-            if not in_span(matrix, mask, BitVec(w, matrix.k)):
+            if not in_span(matrix, mask, w):
                 return False
     return True
