@@ -29,7 +29,6 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -69,49 +68,89 @@ class RecoveryCatalog:
     sets: dict[int, tuple[int, ...]]
 
 
+def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
+    """The independent sets of exactly size columns, keyed by xor, each list in increasing mask order.
+
+    Over GF(2) a column set is a minimal recovery set for its xor exactly
+    when its columns are independent.  The sets are grown by one depth-first
+    extension over column indices, largest index first: each prefix carries
+    its mask, its running xor and its span as a set of vectors, and takes a
+    smaller index only when that column lies outside the span.  The span
+    test also rejects zero and repeated columns, and a dependent prefix is
+    never extended.  The cost is therefore set by the independent prefixes
+    of fewer than size columns, one span lookup for each column below a
+    prefix's lowest index, and not by C(n, size): no subset is ranked from
+    scratch, and none of the subsets that contain a dependent prefix is
+    visited.  Indices are tried in increasing order at every depth, so the
+    sets come out in colex order, which is increasing mask order.
+    """
+    out: defaultdict[int, list[int]] = defaultdict(list)
+    columns = [(c, 1 << j) for j, c in enumerate(matrix.cols)]
+
+    def extend(left: int, mask: int, total: int, span: set[int], stop: int) -> None:
+        if left == 1:
+            for c, bit in columns[:stop]:
+                if c not in span:
+                    out[total ^ c].append(mask | bit)
+            return
+        # a prefix needs left - 1 more columns below its lowest index
+        for j in range(left - 1, stop):
+            c, bit = columns[j]
+            if c not in span:
+                extend(left - 1, mask | bit, total ^ c, span | {v ^ c for v in span}, j)
+
+    if 1 <= size <= matrix.n:
+        extend(size, 0, 0, {0}, matrix.n)
+    return out
+
+
+class _Catalog:
+    """The recovery sets of sizes 1..size, grown one size at a time.
+
+    table[w] holds query w's sets sorted by size then mask: the prefix of
+    its build_catalog tuple up to the sizes built so far.  Treat table as
+    read-only outside this class.
+    """
+
+    def __init__(self, matrix: GeneratorMatrix, r: int) -> None:
+        if r < 1:
+            raise ValueError("r must be positive")
+        self.matrix = matrix
+        self.r = r
+        self.depth = min(r, matrix.n)
+        self.size = 0
+        self.table: list[tuple[int, ...]] = [()] * (1 << matrix.k)
+        self._full: Optional[RecoveryCatalog] = None
+
+    def grow(self) -> None:
+        """Build the sets of the next size and append them to the table."""
+        self.size += 1
+        level = _level(self.matrix, self.size)
+        # pop each query's list as it is appended, so it is not held twice
+        while level:
+            alpha, masks = level.popitem()
+            self.table[alpha] += tuple(masks)
+
+    def full(self) -> RecoveryCatalog:
+        """Every size up to r, built as needed, as one RecoveryCatalog."""
+        while self.size < self.depth:
+            self.grow()
+        if self._full is None:
+            sets = {w: masks for w, masks in enumerate(self.table) if masks}
+            self._full = RecoveryCatalog(k=self.matrix.k, n=self.matrix.n, r=self.r, sets=sets)
+        return self._full
+
+
 def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
     """Enumerate the minimal recovery sets of size <= r for every query.
 
-    Over GF(2) a column set is a minimal recovery set for its xor exactly
-    when its columns are independent, so the catalog is every independent
-    set of at most r columns, keyed by its xor.  They are grown by one
-    depth-first extension over column indices, largest index first: each
-    prefix carries its mask, its running xor and its span as a set of
-    vectors, and takes a smaller index only when that column lies outside
-    the span.  The span test also rejects zero and repeated columns, and a
-    dependent prefix is never extended.  The cost is therefore set by the
-    independent prefixes of fewer than r columns, one span lookup for each
-    column below a prefix's lowest index, and not by the sum of C(n, s)
-    over s <= r: no subset is ranked from scratch, and none of the subsets
-    that contain a dependent prefix is visited.
-
-    Indices are tried in increasing order at every depth, so the sets of
-    one size come out in colex order, which is increasing mask order; each
-    size fills its own lists and the sizes are joined smallest first.  The
-    masks are thus already sorted by (size, mask) and need no sort.
+    They are the independent sets of at most r columns, keyed by their xor:
+    _level builds each size 1..min(r, n) in increasing mask order, and the
+    sizes are joined smallest first, so each query's masks are already
+    sorted by (size, mask) and need no sort.  verify builds the same sizes
+    one at a time, only as far as its batches need them.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    depth = min(r, matrix.n)
-    # by_size[s][alpha]: masks of the (s+1)-column sets with xor alpha, increasing
-    by_size: list[defaultdict[int, list[int]]] = [defaultdict(list) for _ in range(depth)]
-    columns = [(c, 1 << j) for j, c in enumerate(matrix.cols)]
-
-    def extend(size: int, mask: int, total: int, span: set[int], stop: int) -> None:
-        out = by_size[size]
-        deeper = size + 1 < depth
-        for j, (c, bit) in enumerate(columns[:stop]):
-            if c not in span:
-                out[total ^ c].append(mask | bit)
-                if deeper:
-                    extend(size + 1, mask | bit, total ^ c, span | {v ^ c for v in span}, j)
-
-    extend(0, 0, 0, {0}, matrix.n)
-    queries = {alpha for level in by_size for alpha in level}
-    # pop each query's lists as its tuple is built, so they are not held twice
-    sets = {alpha: tuple(chain.from_iterable(level.pop(alpha, ()) for level in by_size))
-            for alpha in queries}
-    return RecoveryCatalog(k=matrix.k, n=matrix.n, r=r, sets=sets)
+    return _Catalog(matrix, r).full()
 
 
 def _check_batch(catalog: RecoveryCatalog, batch: Sequence[int]) -> None:
@@ -314,31 +353,42 @@ def _worker_count(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, cpus, chunks))
 
 
-def _serves(catalog: RecoveryCatalog, table: Sequence[tuple[int, ...]],
-            batch: Sequence[int]) -> bool:
-    """Whether the batch admits disjoint recovery sets; table[w] is catalog.sets' tuple for w.
+def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) -> Optional[bool]:
+    """Whether the batch admits disjoint recovery sets of size <= r; None if the deadline passed first.
 
     First fit decides most batches: the queries, last first, each take their
-    first candidate disjoint from the columns already taken.  That is a
-    valid disjoint assignment when it reaches the end; when a query finds
-    no candidate, find_disjoint_assignment's complete search decides.
+    first set disjoint from the columns already taken, among the sizes built
+    so far.  Each query's sets are sorted by size then mask, so a first fit
+    that reaches the end picks exactly the sets it would pick with every
+    size up to r built, and is a valid disjoint assignment.  On a miss the
+    next size is built, unless the deadline has passed, and first fit runs
+    again; with every size built, find_disjoint_assignment's complete search
+    decides.
     """
-    used = 0
-    for w in reversed(batch):
-        for mask in table[w]:
-            if not mask & used:
-                used |= mask
+    table = catalog.table
+    while True:
+        used = 0
+        for w in reversed(batch):
+            for mask in table[w]:
+                if not mask & used:
+                    used |= mask
+                    break
+            else:
                 break
         else:
-            return find_disjoint_assignment(catalog, batch) is not None
-    return True
+            return True
+        if catalog.size == catalog.depth:
+            return find_disjoint_assignment(catalog.full(), batch) is not None
+        if deadline is not None and time.monotonic() > deadline:
+            return None
+        catalog.grow()
 
 
 # (settled, searched, failure, out_of_budget) of one lex range
 ChunkResult = tuple[int, int, Optional[tuple[int, ...]], bool]
 
 
-def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
+def _scan_chunk(catalog: _Catalog, lo: int, hi: int, q: int, t: int,
                 reps: Optional[Ranked],
                 deadline: Optional[float], max_batches: Optional[int],
                 ) -> ChunkResult:
@@ -352,7 +402,6 @@ def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
     limit = hi - lo if max_batches is None else min(hi - lo, max_batches)
     if reps is None:
         reps = zip(range(lo, hi), _multisets_from(_unrank_multiset(lo, q, t), q)) if lo < hi else ()
-    table = [catalog.sets.get(w, ()) for w in range(q + 1)]
     searched = 0
     for rank, batch in reps:
         done = rank - lo
@@ -360,8 +409,11 @@ def _scan_chunk(catalog: RecoveryCatalog, lo: int, hi: int, q: int, t: int,
             break
         if deadline is not None and time.monotonic() > deadline:
             return done, searched, None, True
+        served = _serves(catalog, batch, deadline)
+        if served is None:
+            return done, searched, None, True
         searched += 1
-        if not _serves(catalog, table, batch):
+        if not served:
             return done + 1, searched, batch, False
     return limit, searched, None, limit < hi - lo
 
@@ -456,8 +508,15 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     this path with the same verdicts, counterexamples and counts as the
     full sweep.
 
-    Each swept batch is tried by greedy first fit before the complete
-    search, which decides only the batches first fit cannot serve.
+    Every batch, screened or swept, is decided by _serves: greedy first fit
+    over the recovery sets built so far, then over the next size, and the
+    complete search only once every size up to r is built.  The sizes are
+    built one at a time, only when a batch needs them, so a sweep whose
+    batches are all served by small sets never builds the large ones; the
+    verdicts, counterexamples and counts are those of a sweep that builds
+    every size first.  Forked children inherit the sizes built before the
+    fork and build any further ones themselves.  budget_seconds is checked
+    before each size is built as well as before each batch.
 
     jobs splits the sweep into that many contiguous lex ranges, run by at
     most as many processes as there are CPUs this process may use (its
@@ -475,7 +534,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
         raise ValueError("t must be positive")
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
-    catalog = build_catalog(matrix, r)
+    catalog = _Catalog(matrix, r)
     q = (1 << matrix.k) - 1
     checked = searched = 0
 
@@ -492,9 +551,12 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
             if exhausted():
                 return verdict(UNDECIDED)
             batch = (w,) * t
+            served = _serves(catalog, batch, deadline)
+            if served is None:
+                return verdict(UNDECIDED)
             checked += 1
             searched += 1
-            if find_disjoint_assignment(catalog, batch) is None:
+            if not served:
                 return verdict(FAILS, batch)
 
     total = _multiset_count(q, t)

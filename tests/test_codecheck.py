@@ -1,15 +1,22 @@
+import os
+import subprocess
+import sys
 from itertools import chain, combinations, combinations_with_replacement, product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import funcbatch
 from funcbatch import codecheck
 from funcbatch.bounds import necessary_condition
 from funcbatch.codecheck import (
     FAILS,
     HOLDS,
     UNDECIDED,
+    _Catalog,
     _is_invariant,
     _multiset_count,
     _multisets_from,
@@ -25,7 +32,10 @@ from funcbatch.codecheck import (
 )
 from funcbatch.gf2 import GeneratorMatrix, rank
 from oracles import in_span, rank_multiset
+from test_fanout import fixed_workers
 from worked_example import worked_example_holds
+
+SRC = str(Path(funcbatch.__file__).resolve().parents[1])
 
 
 def test_simplex_columns_are_all_nonzero_vectors():
@@ -261,6 +271,63 @@ def test_verify_time_budget_gives_undecided():
     assert v.status == UNDECIDED
 
 
+def counted_levels(monkeypatch, on_build=lambda size: None):
+    """Record the size of every _level call verify makes; on_build runs after each."""
+    sizes = []
+    real = codecheck._level
+
+    def level(matrix, size):
+        out = real(matrix, size)
+        sizes.append(size)
+        on_build(size)
+        return out
+
+    monkeypatch.setattr(codecheck, "_level", level)
+    return sizes
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_time_budget_covers_catalog_building(monkeypatch, deterministic):
+    # the first batch, (3, 3) in the screen or (1, 1) in lex order, needs a
+    # pair; the clock passes the deadline while size 1 is built, so size 2 is
+    # never built and the batch stays unsettled
+    clock = [0.0]
+    after_build = [100.0]
+    monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
+    sizes = counted_levels(monkeypatch, lambda size: clock.__setitem__(0, after_build[0]))
+    v = verify(simplex(2), 2, 2, deterministic=deterministic, budget_seconds=10)
+    assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
+        UNDECIDED, None, 0, 0)
+    assert sizes == [1]
+    # with the clock standing still the same run builds size 2 and holds
+    clock[0] = after_build[0] = 0.0
+    assert verify(simplex(2), 2, 2, deterministic=deterministic, budget_seconds=10).holds
+    assert sizes == [1, 1, 2]
+
+
+def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
+    sizes = counted_levels(monkeypatch)
+    v = verify(simplex(7), 2, 4)
+    assert (v.status, v.assignments_checked) == (HOLDS, 127 + 8128)
+    assert sizes == [1, 2]
+
+
+def test_verify_simplex7_r4_runs_in_512_mib():
+    # every set of up to 4 of the 127 columns would take over 500 MiB
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "funcbatch.cli", "verify", "--construct", "simplex:7",
+         "--t", "2", "--r", "4"],
+        env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "holds\n"), proc.stderr
+
+
 def test_verify_parallel_matches_sequential():
     assert verify(simplex(3), 4, 2, jobs=2).status == HOLDS
     v = verify(simplex(3), 5, 2, jobs=3, deterministic=True)
@@ -328,9 +395,12 @@ def test_first_fit_decider_matches_search_and_oracle(case, data):
     q = (1 << matrix.k) - 1
     batch = tuple(data.draw(st.lists(st.integers(1, q), min_size=1, max_size=5)))
     cat = build_catalog(matrix, r)
-    table = [cat.sets.get(w, ()) for w in range(q + 1)]
     expected = brute_force_serves(subset_catalog_oracle(matrix, r), batch)
-    assert _serves(cat, table, batch) == (find_disjoint_assignment(cat, batch) is not None) == expected
+    # a fresh catalog grows only as far as the batch needs; a built one starts at full depth
+    built = _Catalog(matrix, r)
+    assert built.full() == cat
+    assert _serves(_Catalog(matrix, r), batch, None) == _serves(built, batch, None) == (
+        find_disjoint_assignment(cat, batch) is not None) == expected
 
 
 def test_verify_matrix_without_full_span_fails():
@@ -418,6 +488,36 @@ def test_reduced_sweep_parallel_matches_full_sweep(case, deterministic):
     matrix, t, r = case
     v = verify(matrix, t, r, deterministic=deterministic, jobs=2)
     assert (v.status, v.counterexample) == full_sweep(matrix, t, r, deterministic)[:2]
+
+
+@st.composite
+def lazy_catalog_cases(draw):
+    k = draw(st.integers(1, 4))
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=9))
+    return GeneratorMatrix(k, tuple(cols)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lazy_catalog_cases(), st.booleans(), st.none() | st.integers(0, 60), st.sampled_from([1, 2]))
+def test_sizes_built_on_demand_match_the_full_catalog(case, deterministic, budget, jobs):
+    """verify against the same sweep deciding every batch by the complete search over build_catalog.
+
+    jobs=1 runs in this process; jobs=2 forks one worker.
+    """
+    matrix, t, r = case
+    full = build_catalog(matrix, r)
+
+    def full_catalog_decider(catalog, batch, deadline):
+        return find_disjoint_assignment(full, batch) is not None
+
+    runs = []
+    for decider in (codecheck._serves, full_catalog_decider):
+        with fixed_workers(jobs), mock.patch.object(codecheck, "_serves", decider):
+            v = verify(matrix, t, r, deterministic=deterministic, jobs=jobs, budget_batches=budget)
+        runs.append((v.status, v.counterexample, v.assignments_checked, v.batches_searched))
+    assert runs[0] == runs[1]
+    if jobs == 1:
+        assert runs[0][:3] == full_sweep(matrix, t, r, deterministic, budget)
 
 
 def gl_images(k):

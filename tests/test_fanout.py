@@ -46,10 +46,10 @@ def in_children(action):
     parent = os.getpid()
     real = codecheck._serves
 
-    def serves(catalog, table, batch):
+    def serves(*args):
         if os.getpid() != parent:
             action()
-        return real(catalog, table, batch)
+        return real(*args)
 
     return mock.patch.object(codecheck, "_serves", serves)
 
@@ -110,12 +110,12 @@ def test_parent_exception_kills_and_reaps_the_workers():
     parent = os.getpid()
     real = codecheck._serves
 
-    def serves(catalog, table, batch):
+    def serves(*args):
         if os.getpid() != parent:
             time.sleep(60)  # killed long before this ends
-        elif batch == (1, 1, 1):
+        elif (1, 1, 1) in args:
             raise ValueError("boom in the parent")
-        return real(catalog, table, batch)
+        return real(*args)
 
     start = time.monotonic()
     with fixed_workers(3), mock.patch.object(codecheck, "_serves", serves):
