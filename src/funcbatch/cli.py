@@ -21,6 +21,7 @@ EX_FALSIFIED = 1
 EX_UNDECIDED = 2
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 EX_IO = 74
 
 BUDGET_ENV_VAR = "FBC_BUDGET_SECONDS"
@@ -336,6 +337,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_IO
+    except (RuntimeError, MemoryError) as exc:
+        # a verify worker that failed or died, or memory run out: no verdict
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def run() -> None:

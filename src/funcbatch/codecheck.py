@@ -29,7 +29,8 @@ import os
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb
+from itertools import takewhile
+from math import comb, isnan
 from typing import Iterable, Iterator, NoReturn, Optional, Sequence
 
 from funcbatch.gf2 import GeneratorMatrix
@@ -205,11 +206,13 @@ class Verdict:
     """Outcome of a verification sweep.
 
     assignments_checked counts the screened batches plus the length of the
-    lex prefix of all multisets that the sweep settled (at jobs=1; parallel
-    runs add up every chunk's prefix).  batches_searched counts the
-    batches the sweep decided, screen included, whether first fit or the
-    complete search decided them; it is smaller only when the symmetry
-    reduction settles batches without deciding them one by one.
+    lex prefix of all multisets that the sweep settled, at every jobs: an
+    undecided sweep resumes at the multiset whose rank is that count less
+    the screened batches.  batches_searched counts the batches the sweep
+    decided, screen included, whether first fit or the complete search
+    decided them; it is smaller only when the symmetry reduction settles
+    batches without deciding them one by one, and larger at jobs > 1 when
+    ranges past the settled prefix were searched too.
     """
 
     status: str
@@ -323,34 +326,35 @@ def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             base[j + 1] = rank
 
 
-def _chunks(total: int, jobs: int, reps: Optional[Ranked],
+def _chunks(limit: int, workers: int, reps: Optional[Ranked],
             ) -> list[tuple[int, int, Optional[Ranked]]]:
-    """Split ranks 0..total-1 into at most jobs contiguous (lo, hi, representatives) ranges.
+    """Split ranks 0..limit-1 into at most workers contiguous (lo, hi, representatives) ranges.
 
     The full sweep (reps None) splits ranks evenly; the reduced sweep splits
-    the representatives evenly, since they crowd the low ranks.
+    the representatives ranked below limit evenly, since they crowd the low
+    ranks.  A single range is returned without listing them.
     """
-    if jobs <= 1:
-        return [(0, total, reps)]
+    if min(workers, limit) <= 1:
+        return [(0, limit, reps)]
     if reps is None:
-        size = -(-total // jobs)
-        return [(lo, min(lo + size, total), None) for lo in range(0, total, size)]
-    reps = list(reps)
-    size = -(-len(reps) // jobs)
+        size = -(-limit // workers)
+        return [(lo, min(lo + size, limit), None) for lo in range(0, limit, size)]
+    reps = list(takewhile(lambda pair: pair[0] < limit, reps))
+    size = -(-len(reps) // workers)
     parts = [reps[i:i + size] for i in range(0, len(reps), size)]
-    edges = [0] + [part[0][0] for part in parts[1:]] + [total]
+    edges = [0] + [part[0][0] for part in parts[1:]] + [limit]
     return [(edges[i], edges[i + 1], part) for i, part in enumerate(parts)]
 
 
-def _worker_count(jobs: int, chunks: int) -> int:
-    """Processes to run: never more than requested, than usable CPUs, or than chunks.
+def _worker_count(jobs: int) -> int:
+    """Processes to run: never more than requested or than usable CPUs.
 
     1 where the platform cannot fork.
     """
     if not hasattr(os, "fork"):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(jobs, cpus, chunks))
+    return max(1, min(jobs, cpus))
 
 
 def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) -> Optional[bool]:
@@ -389,60 +393,54 @@ ChunkResult = tuple[int, int, Optional[tuple[int, ...]], bool]
 
 
 def _scan_chunk(catalog: _Catalog, lo: int, hi: int, q: int, t: int,
-                reps: Optional[Ranked],
-                deadline: Optional[float], max_batches: Optional[int],
-                ) -> ChunkResult:
+                reps: Optional[Ranked], deadline: Optional[float]) -> ChunkResult:
     """Search the lex range of ranks lo..hi-1; returns (settled, searched, failure, out_of_budget).
 
     reps None searches every multiset in the range; otherwise only the given
-    (rank, representative) pairs, and the multisets ranked between them
-    count as settled.  settled is the length of the settled prefix of the
-    range, capped at max_batches.
+    (rank, batch) pairs ranked below hi, and the multisets ranked between
+    them count as settled.  settled is the length of the settled prefix of
+    the range; out_of_budget means the deadline cut the range off.
     """
-    limit = hi - lo if max_batches is None else min(hi - lo, max_batches)
     if reps is None:
         reps = zip(range(lo, hi), _multisets_from(_unrank_multiset(lo, q, t), q)) if lo < hi else ()
     searched = 0
     for rank, batch in reps:
-        done = rank - lo
-        if done >= limit:
+        if rank >= hi:
             break
         if deadline is not None and time.monotonic() > deadline:
-            return done, searched, None, True
+            return rank - lo, searched, None, True
         served = _serves(catalog, batch, deadline)
         if served is None:
-            return done, searched, None, True
+            return rank - lo, searched, None, True
         searched += 1
         if not served:
-            return done + 1, searched, batch, False
-    return limit, searched, None, limit < hi - lo
+            return rank - lo + 1, searched, batch, False
+    return hi - lo, searched, None, False
 
 
-def _scan_forked(tasks: Sequence[tuple], workers: int) -> list[ChunkResult]:
-    """_scan_chunk over every task in this process plus workers - 1 forked children.
+def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
+    """_scan_chunk over every task: the first in this process, each other in a forked child.
 
-    Process i (this one is 0) scans tasks i, i + workers, ... in order.  The
-    children inherit the catalog and the tasks, so nothing is pickled; each
-    sends its results back through a pipe with marshal and leaves with
-    os._exit.  A child that fails or dies makes this raise; whenever this
-    raises, every child still running is killed and reaped first.  Results
-    come back in task order.
+    A single task forks nothing.  The children inherit the catalog and
+    their task, so nothing is pickled; each sends its result back through a
+    pipe with marshal and leaves with os._exit.  A child that fails or dies
+    makes this raise; whenever this raises, every child still running is
+    killed and reaped first.  Results come back in task order.
     """
     pipes: list[int] = []  # read end of child i's pipe at index i - 1
     running: list[int] = []  # pids not yet reaped, in child order
     try:
-        for i in range(1, workers):
+        for task in tasks[1:]:
             read_end, write_end = os.pipe()
             pipes.append(read_end)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child_scan(tasks[i::workers], write_end)
+                    _child_scan(task, write_end)
             finally:
                 os.close(write_end)
             running.append(pid)
-        results: list = [None] * len(tasks)
-        results[::workers] = [_scan_chunk(*task) for task in tasks[::workers]]
+        results = [_scan_chunk(*tasks[0])]
         for i, read_end in enumerate(pipes, 1):
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -453,7 +451,7 @@ def _scan_forked(tasks: Sequence[tuple], workers: int) -> list[ChunkResult]:
             ok, value = marshal.loads(payload)
             if not ok:
                 raise RuntimeError(f"verify worker {i} failed:\n{value}")
-            results[i::workers] = value
+            results.append(value)
         return results
     finally:
         for read_end in pipes:
@@ -466,12 +464,12 @@ def _scan_forked(tasks: Sequence[tuple], workers: int) -> list[ChunkResult]:
                 os.waitpid(pid, 0)
 
 
-def _child_scan(tasks: Sequence[tuple], write_end: int) -> NoReturn:
-    """Body of a forked worker: scan the tasks, send (ok, results or traceback), exit."""
+def _child_scan(task: tuple, write_end: int) -> NoReturn:
+    """Body of a forked worker: scan the task, send (ok, result or traceback), exit."""
     status = 1
     try:
         try:
-            payload = marshal.dumps((True, [_scan_chunk(*task) for task in tasks]))
+            payload = marshal.dumps((True, _scan_chunk(*task)))
         except Exception:
             import traceback
 
@@ -485,7 +483,6 @@ def _child_scan(tasks: Sequence[tuple], write_end: int) -> NoReturn:
 
 
 def verify(matrix: GeneratorMatrix, t: int, r: int, *,
-           screen: bool = True,
            deterministic: bool = False,
            jobs: int = 1,
            budget_seconds: Optional[float] = None,
@@ -518,20 +515,23 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     fork and build any further ones themselves.  budget_seconds is checked
     before each size is built as well as before each batch.
 
-    jobs splits the sweep into that many contiguous lex ranges, run by at
-    most as many processes as there are CPUs this process may use (its
-    affinity mask where the platform has one, else os.cpu_count()): this
-    process and forked children, range i going to process i modulo their
-    number.  Platforms without os.fork run every range in this process.
-    Do not call it with jobs > 1 from a process that runs threads.  What
-    budget_batches leaves after the screen is split over the ranges
-    actually made, the first ones taking the remainder.  The earliest
-    failing range gives the counterexample; with deterministic=True a range
-    cut off by a budget ahead of it makes the verdict undecided instead, as
-    at jobs=1.
+    budget_batches bounds the screened batches plus the lex prefix of the
+    multisets the sweep may reach, the same prefix at every jobs.  That
+    prefix is split into one contiguous lex range per process: jobs, but
+    never more than the CPUs this process may use (its affinity mask where
+    the platform has one, else os.cpu_count()).  This process scans the
+    first range and forked children one further range each; platforms
+    without os.fork run one range in this process.  Do not call it with
+    jobs > 1 from a process that runs threads.  The settled prefix ends at
+    the first range that failed or that the time budget cut off; the
+    earliest failing range gives the counterexample, except that with
+    deterministic=True a range cut off ahead of it makes the verdict
+    undecided, as at jobs=1.
     """
     if t < 1:
         raise ValueError("t must be positive")
+    if budget_seconds is not None and isnan(budget_seconds):
+        raise ValueError("budget_seconds must not be NaN")
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
     catalog = _Catalog(matrix, r)
@@ -541,50 +541,35 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     def verdict(status: str, counterexample: Optional[tuple[int, ...]] = None) -> Verdict:
         return Verdict(status, counterexample, checked, time.monotonic() - start_time, searched)
 
-    def exhausted() -> bool:
-        if budget_batches is not None and checked >= budget_batches:
-            return True
-        return deadline is not None and time.monotonic() > deadline
+    def within_budget(size: int) -> int:
+        return size if budget_batches is None else max(0, min(size, budget_batches - checked))
 
-    if screen and not deterministic:
-        for w in sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v)):
-            if exhausted():
-                return verdict(UNDECIDED)
-            batch = (w,) * t
-            served = _serves(catalog, batch, deadline)
-            if served is None:
-                return verdict(UNDECIDED)
-            checked += 1
-            searched += 1
-            if not served:
-                return verdict(FAILS, batch)
+    if not deterministic:
+        heaviest_first = sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
+        uniform = enumerate((w,) * t for w in heaviest_first)
+        checked, searched, failure, cut_off = _scan_chunk(
+            catalog, 0, within_budget(q), q, t, uniform, deadline)
+        if failure is not None:
+            return verdict(FAILS, failure)
+        if cut_off or checked < q:
+            return verdict(UNDECIDED)
 
     total = _multiset_count(q, t)
+    limit = within_budget(total)
     reps = _representatives(q, t) if _is_invariant(matrix) else None
-    chunks = _chunks(total, jobs, reps)
-    shares: list[Optional[int]] = [None] * len(chunks)
-    if budget_batches is not None:
-        # the first chunks take the remainder, so the shares add up exactly
-        base, extra = divmod(max(0, budget_batches - checked), len(chunks))
-        shares = [base + (i < extra) for i in range(len(chunks))]
-    tasks = [(catalog, lo, hi, q, t, part, deadline, share)
-             for (lo, hi, part), share in zip(chunks, shares)]
-    workers = _worker_count(jobs, len(tasks))
-    if workers == 1:
-        results = [_scan_chunk(*task) for task in tasks]
-    else:
-        results = _scan_forked(tasks, workers)
-    # the earliest failing range carries the lexicographically least
-    # counterexample, unless an earlier range was cut off before reaching a
-    # smaller one: deterministic mode then reports undecided
-    failure = None
-    cut_off_any = False
-    for settled, chunk_searched, fail_batch, cut_off in results:
+    tasks = [(catalog, lo, hi, q, t, part, deadline)
+             for lo, hi, part in _chunks(limit, _worker_count(jobs), reps)]
+    results = _scan_forked(tasks)
+    searched += sum(result[1] for result in results)
+    # the settled prefix ends at the first range that failed or was cut off
+    failure, cut_off = None, False
+    for settled, _, failure, cut_off in results:
         checked += settled
-        searched += chunk_searched
-        if failure is None and not (deterministic and cut_off_any):
-            failure = fail_batch
-        cut_off_any = cut_off_any or cut_off
+        if failure is not None or cut_off:
+            break
+    if cut_off and not deterministic:
+        # any counterexample found past the cut-off is still a counterexample
+        failure = next((result[2] for result in results if result[2] is not None), None)
     if failure is not None:
         return verdict(FAILS, failure)
-    return verdict(UNDECIDED if cut_off_any else HOLDS)
+    return verdict(UNDECIDED if cut_off or limit < total else HOLDS)

@@ -3,12 +3,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from funcbatch import cli
+from funcbatch import cli, codecheck
 from funcbatch.cli import (
     EX_DATA,
     EX_FALSIFIED,
     EX_IO,
     EX_OK,
+    EX_SOFTWARE,
     EX_UNDECIDED,
     EX_USAGE,
     MatrixFormatError,
@@ -275,6 +276,38 @@ def test_verify_budget_env_var(monkeypatch):
     monkeypatch.setenv(cli.BUDGET_ENV_VAR, "0.000000001")
     code, out, _ = run_cli("verify", "--construct", "simplex:3", "--t", "4", "--r", "2")
     assert code == EX_UNDECIDED and out.splitlines()[0] == "undecided"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_verify_nan_time_budget_is_usage_error(monkeypatch, source):
+    # time.monotonic() > nan is never true, so NaN would be no budget at all
+    argv = ["verify", "--construct", "simplex:3", "--t", "3", "--r", "2"]
+    if source == "flag":
+        argv.append("--budget-seconds=nan")
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "nan")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EX_USAGE, "")
+    assert err == "error: budget_seconds must not be NaN\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_verify_infinite_time_budget_is_no_limit(monkeypatch, source):
+    argv = ["verify", "--construct", "simplex:3", "--t", "3", "--r", "2"]
+    if source == "flag":
+        argv.append("--budget-seconds=inf")
+    else:
+        monkeypatch.setenv(cli.BUDGET_ENV_VAR, "inf")
+    assert run_cli(*argv)[:2] == (EX_OK, "holds\n")
+
+
+def test_verify_out_of_memory_is_software_error(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(codecheck, "verify", exhausted)
+    code, out, err = run_cli("verify", "--construct", "simplex:3", "--t", "3", "--r", "2")
+    assert (code, out, err) == (EX_SOFTWARE, "", "error: MemoryError\n")
 
 
 def test_verify_bad_construct_argument():

@@ -271,6 +271,13 @@ def test_verify_time_budget_gives_undecided():
     assert v.status == UNDECIDED
 
 
+def test_verify_rejects_a_nan_time_budget():
+    # time.monotonic() > nan is never true, so it would be no budget at all
+    with pytest.raises(ValueError, match="NaN"):
+        verify(simplex(2), 2, 2, budget_seconds=float("nan"))
+    assert verify(simplex(2), 2, 2, budget_seconds=float("inf")).holds
+
+
 def counted_levels(monkeypatch, on_build=lambda size: None):
     """Record the size of every _level call verify makes; on_build runs after each."""
     sizes = []
@@ -336,15 +343,14 @@ def test_verify_parallel_matches_sequential():
 
 
 def test_verify_deterministic_parallel_budget_is_undecided():
-    # the first range runs out of budget before (1, 2, 3); the second fails at (2, 5, 5)
+    # the budget ends the sweep before (1, 2, 3), rank 8; (2, 5, 5), rank 43,
+    # lies past the budget's prefix at every worker count
     m = GeneratorMatrix(3, (4, 6, 1, 1, 7, 5, 1))
-    for jobs in (1, 2):
-        v = verify(m, 3, 2, deterministic=True, jobs=jobs, budget_batches=4)
-        assert (v.status, v.counterexample) == (UNDECIDED, None)
+    for jobs in (1, 2, 3):
+        with fixed_workers(jobs):
+            v = verify(m, 3, 2, deterministic=True, jobs=jobs, budget_batches=4)
+        assert (v.status, v.counterexample, v.assignments_checked) == (UNDECIDED, None, 4)
     assert verify(m, 3, 2, deterministic=True).counterexample == (1, 2, 3)
-    # without the lex-least claim any counterexample found is reported
-    v = verify(m, 3, 2, screen=False, jobs=2, budget_batches=4)
-    assert (v.status, v.counterexample) == (FAILS, (2, 5, 5))
 
 
 @pytest.mark.parametrize("matrix,t,deterministic,budget,expected", [
@@ -354,8 +360,8 @@ def test_verify_deterministic_parallel_budget_is_undecided():
     (GeneratorMatrix(2, (1, 2)), 2, True, 1, (FAILS, (1, 1), 1)),
 ])
 def test_verify_parallel_budget_keeps_its_remainder(matrix, t, deterministic, budget, expected):
-    # an odd share left for two ranges (1, or 8 minus the 7 screened) goes to
-    # the first range instead of being dropped by floor division
+    # a budget of one sweep batch (1, or 8 minus the 7 screened) is one lex
+    # prefix, however many ranges jobs asks for
     for jobs in (1, 2):
         v = verify(matrix, t, 2, deterministic=deterministic, jobs=jobs, budget_batches=budget)
         assert (v.status, v.counterexample, v.assignments_checked) == expected
@@ -366,6 +372,40 @@ def small_matrices(draw):
     k = draw(st.integers(1, 3))
     cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=7))
     return GeneratorMatrix(k, tuple(cols)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices(), st.booleans(), st.none() | st.integers(0, 60), st.sampled_from([2, 3]))
+def test_verify_agrees_at_every_worker_count(case, deterministic, budget, jobs):
+    """A batch budget is one lex prefix, so forked workers settle what one process settles."""
+    matrix, t, r = case
+    one = verify(matrix, t, r, deterministic=deterministic, budget_batches=budget)
+    with fixed_workers(jobs):
+        forked = verify(matrix, t, r, deterministic=deterministic, jobs=jobs, budget_batches=budget)
+    assert (forked.status, forked.counterexample, forked.assignments_checked) == (
+        one.status, one.counterexample, one.assignments_checked)
+    if one.holds:
+        assert forked.batches_searched == one.batches_searched
+
+
+def test_verify_scans_one_range_per_worker(monkeypatch, tmp_path):
+    # every process, forked children included, logs the ranges it scans
+    log = tmp_path / "ranges"
+    real = codecheck._scan_chunk
+
+    def scan(*args):
+        with open(log, "a") as handle:
+            handle.write(f"{args[1]} {args[2]}\n")
+        return real(*args)
+
+    monkeypatch.setattr(codecheck, "_scan_chunk", scan)
+    matrix = GeneratorMatrix(4, tuple(range(1, 16)) + (1,))
+    with fixed_workers(3):
+        v = verify(matrix, 6, 2, deterministic=True, jobs=10**6)
+    assert (v.status, v.assignments_checked) == (HOLDS, 38_760)
+    ranges = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert len(ranges) == 3
+    assert [lo for lo, _ in ranges] + [38_760] == [0] + [hi for _, hi in ranges]
 
 
 @settings(max_examples=40, deadline=None)
@@ -586,12 +626,12 @@ def test_worker_count_clamp(monkeypatch):
     # the cap is the CPUs this process may use (e.g. under taskset), not the host's
     monkeypatch.setattr(codecheck.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(codecheck.os, "cpu_count", lambda: 64)
-    assert _worker_count(8, 8) == 2
-    assert _worker_count(2, 1) == 1
-    assert _worker_count(1, 4) == 1
-    assert _worker_count(0, 4) == 1
+    assert _worker_count(8) == 2
+    assert _worker_count(10**6) == 2
+    assert _worker_count(1) == 1
+    assert _worker_count(0) == 1
     # a platform without affinity masks falls back to the CPU count, 1 if unknown
     monkeypatch.delattr(codecheck.os, "sched_getaffinity", raising=False)
-    assert _worker_count(8, 8) == 8
+    assert _worker_count(8) == 8
     monkeypatch.setattr(codecheck.os, "cpu_count", lambda: None)
-    assert _worker_count(4, 4) == 1
+    assert _worker_count(4) == 1

@@ -1,7 +1,7 @@
 """Forked verify workers: same results as one process, failures surface, no child outlives verify.
 
-Each test fixes the worker count by patching _worker_count, so the children
-are forked even where one CPU is usable.
+Each test fixes the usable CPU count by patching _worker_count, so the
+children are forked even where one CPU is usable.
 """
 
 import os
@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcbatch import codecheck
-from funcbatch.codecheck import HOLDS, simplex, verify
+from funcbatch import cli, codecheck
+from funcbatch.codecheck import FAILS, HOLDS, UNDECIDED, simplex, verify
 from funcbatch.gf2 import GeneratorMatrix
 
 # not invariant, so its full sweep of 84 multisets at t=3 is split into ranges
@@ -27,7 +27,7 @@ def assert_no_children():
 
 
 def fixed_workers(workers):
-    return mock.patch.object(codecheck, "_worker_count", lambda jobs, chunks: min(workers, chunks))
+    return mock.patch.object(codecheck, "_worker_count", lambda jobs: min(jobs, workers))
 
 
 def counted_forks():
@@ -76,33 +76,77 @@ def fanout_cases(draw):
             draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3])))
 
 
+def scan_in_process(tasks):
+    return [codecheck._scan_chunk(*task) for task in tasks]
+
+
 @settings(max_examples=40, deadline=None)
 @given(fanout_cases(), st.booleans(), st.none() | st.integers(0, 40))
 def test_forked_scan_matches_in_process_scan(case, deterministic, budget):
+    # the same ranges, scanned by forked children or one after another here
     matrix, t, r, jobs, workers = case
     runs = []
-    for count in (1, workers):
-        with fixed_workers(count):
+    for forking in (False, True):
+        with fixed_workers(workers), mock.patch.object(
+                codecheck, "_scan_forked", codecheck._scan_forked if forking else scan_in_process):
             v = verify(matrix, t, r, deterministic=deterministic, jobs=jobs, budget_batches=budget)
         runs.append((v.status, v.counterexample, v.assignments_checked, v.batches_searched))
     assert runs[0] == runs[1]
     assert_no_children()
 
 
-def test_worker_exception_surfaces_in_the_parent():
-    def boom():
-        raise ValueError("boom in a worker")
+@pytest.mark.parametrize("deterministic,expected", [
+    # the settled prefix ends where the first range was cut off, at (1, 2)
+    (True, (UNDECIDED, None, 1)),
+    # past the cut-off the second range's failure at (3, 7), rank 17, still counts
+    (False, (FAILS, (3, 7), 7 + 1)),
+])
+def test_a_range_cut_off_ahead_of_a_failing_range(deterministic, expected):
+    # screen served, first failure at rank 17 of 28, so in the second of two ranges
+    matrix = GeneratorMatrix(3, (1, 5, 6, 4, 2))
+    assert verify(matrix, 2, 2, deterministic=True).counterexample == (3, 7)
+    parent = os.getpid()
+    real = codecheck._serves
 
-    with fixed_workers(2), in_children(boom):
+    def serves(catalog, batch, deadline):
+        # this process's range runs out of time at its first non-uniform batch
+        if os.getpid() == parent and len(set(batch)) > 1:
+            return None
+        return real(catalog, batch, deadline)
+
+    with fixed_workers(2), mock.patch.object(codecheck, "_serves", serves):
+        v = verify(matrix, 2, 2, deterministic=deterministic, jobs=2)
+    assert (v.status, v.counterexample, v.assignments_checked) == expected
+    assert_no_children()
+
+
+def boom_in_a_worker():
+    raise ValueError("boom in a worker")
+
+
+def test_worker_exception_surfaces_in_the_parent():
+    with fixed_workers(2), in_children(boom_in_a_worker):
         with pytest.raises(RuntimeError, match="boom in a worker"):
-            verify(MATRIX, 3, 2, screen=False, jobs=2)
+            verify(MATRIX, 3, 2, deterministic=True, jobs=2)
     assert_no_children()
 
 
 def test_worker_death_surfaces_in_the_parent():
     with fixed_workers(2), in_children(lambda: os.kill(os.getpid(), signal.SIGKILL)):
         with pytest.raises(RuntimeError, match="wait status"):
-            verify(MATRIX, 3, 2, screen=False, jobs=2)
+            verify(MATRIX, 3, 2, deterministic=True, jobs=2)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("action", [boom_in_a_worker, lambda: os.kill(os.getpid(), signal.SIGKILL)])
+def test_a_failed_worker_is_a_software_error_at_the_cli(action, capsys):
+    # not a falsification: exit 70, no verdict on stdout
+    argv = ["verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--jobs", "2"]
+    with fixed_workers(2), in_children(action):
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EX_SOFTWARE, "")
+    assert err.startswith("error: verify worker 1 ")
     assert_no_children()
 
 
@@ -120,13 +164,13 @@ def test_parent_exception_kills_and_reaps_the_workers():
     start = time.monotonic()
     with fixed_workers(3), mock.patch.object(codecheck, "_serves", serves):
         with pytest.raises(ValueError, match="boom in the parent"):
-            verify(MATRIX, 3, 2, screen=False, jobs=3)
+            verify(MATRIX, 3, 2, deterministic=True, jobs=3)
     assert time.monotonic() - start < 30
     assert_no_children()
 
 
 def test_normal_runs_leave_no_children():
     with fixed_workers(2):
-        assert verify(MATRIX, 3, 2, screen=False, jobs=2).counterexample == (1, 2, 2)
+        assert verify(MATRIX, 3, 2, deterministic=True, jobs=2).counterexample == (1, 2, 2)
         assert verify(simplex(3), 4, 2, jobs=3).status == HOLDS
     assert_no_children()

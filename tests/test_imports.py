@@ -86,7 +86,7 @@ def test_bench_tracer_targets_resolve():
     assert spans == targets > 0
 
 
-@pytest.mark.skipif(_worker_count(2, 2) < 2, reason="one usable CPU forks no worker")
+@pytest.mark.skipif(_worker_count(2) < 2, reason="one usable CPU forks no worker")
 def test_parallel_verify_forks_without_a_pool(tmp_path):
     # not invariant (1 three times, 2 and 3 absent), so the full sweep is split over 2 workers
     matrix = tmp_path / "m.txt"
