@@ -10,12 +10,9 @@ since the bound then certifies no unconditional minimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
-from funcbatch.counting import labelling_count_egf
 from funcbatch.gf2 import MAX_DIMENSION
 
 EXACT = "exact"
@@ -28,25 +25,38 @@ BASELINE = "baseline"
 BOUND_IDS = (EXACT, PRODUCT, AMGM, CHAIN, SQRT, BASELINE)
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameter bundle: dimension k, batch size t, recovery-set cap r."""
-
+class _CodeParamsFields(NamedTuple):
     k: int
     t: int
     r: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_DIMENSION:
-            raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {self.k}")
-        if self.t < 1:
+
+class CodeParams(_CodeParamsFields):
+    """Parameter bundle: dimension k, batch size t, recovery-set cap r."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, t: int, r: int) -> "CodeParams":
+        if not 1 <= k <= MAX_DIMENSION:
+            raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {k}")
+        if t < 1:
             raise ValueError("t must be positive")
-        if self.r < 1:
+        if r < 1:
             raise ValueError("r must be positive")
+        return super().__new__(cls, k, t, r)
 
 
-@dataclass(frozen=True)
-class BoundOutcome:
+class _BoundOutcomeFields(NamedTuple):
+    bound_id: str
+    min_n: int
+    raw_min_n: int
+    applicability_floor: int
+    clamped: bool
+    vacuous: bool
+    rhs: int
+
+
+class BoundOutcome(_BoundOutcomeFields):
     """Result of a minimal-length solver.
 
     min_n is the reported minimum, raw_min_n the uncapped solution of the
@@ -58,17 +68,14 @@ class BoundOutcome:
     and renders as '-'.
     """
 
-    bound_id: str
-    min_n: int
-    raw_min_n: int
-    applicability_floor: int
-    clamped: bool
-    vacuous: bool
-    rhs: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.clamped and self.min_n < self.applicability_floor:
+    def __new__(cls, bound_id: str, min_n: int, raw_min_n: int, applicability_floor: int,
+                clamped: bool, vacuous: bool, rhs: int) -> "BoundOutcome":
+        if clamped and min_n < applicability_floor:
             raise ValueError("clamped outcome below its applicability floor")
+        return super().__new__(cls, bound_id, min_n, raw_min_n, applicability_floor,
+                               clamped, vacuous, rhs)
 
     @property
     def table_value(self) -> Optional[int]:
@@ -81,6 +88,9 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
 
     False certifies that no [n, k, t, r] functional batch code exists.
     """
+    # imported on first use, so a launch that only parses --bound skips it
+    from funcbatch.counting import labelling_count_egf
+
     CodeParams(k, t, r)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -111,8 +121,7 @@ def min_n_exact(k: int, t: int, r: int) -> int:
     return _first_true(lambda n: necessary_condition(n, k, t, r), lo=t)
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """A closed-form bound: least n >= start(t) with lhs(n, t, r) >= rhs(2^k - 1, t, r)."""
 
     cap: Optional[int]  # the cap the bound fixes; None takes the caller's r
@@ -173,7 +182,7 @@ def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
         applicability_floor=floor,
         clamped=raw < floor,
         vacuous=vacuous,
-        rhs=Fraction(rhs),
+        rhs=rhs,
     )
 
 
@@ -184,8 +193,7 @@ def construction_length(k: int) -> int:
     return (1 << (k + 1)) - 2
 
 
-@dataclass(frozen=True)
-class R2ComparisonRow:
+class R2ComparisonRow(NamedTuple):
     """One row comparing lower bounds with the doubled-simplex length at cap 2."""
 
     k: int
@@ -220,8 +228,7 @@ def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
 CHAIN_TABLE_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3), (2, 5))
 
 
-@dataclass(frozen=True)
-class ChainBoundRow:
+class ChainBoundRow(NamedTuple):
     """One row of chain-bound minima next to the baseline bound at t = 2."""
 
     k: int

@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 # only what the parser needs is imported here (bounds, for --bound); each
 # command imports the engine it runs, so only verify and construct load the
@@ -91,8 +90,7 @@ def format_matrix(matrix: GeneratorMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CsvTable:
+class CsvTable(NamedTuple):
     """Comma-separated table with a header row and trailing '#' comment lines."""
 
     header: tuple[str, ...]

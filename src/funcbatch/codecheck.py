@@ -28,10 +28,9 @@ import marshal
 import os
 import time
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import takewhile
 from math import comb, isnan
-from typing import Iterable, Iterator, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from funcbatch.gf2 import GeneratorMatrix
 
@@ -55,8 +54,7 @@ def double_simplex(k: int) -> GeneratorMatrix:
     return GeneratorMatrix(k, cols + cols)
 
 
-@dataclass(frozen=True)
-class RecoveryCatalog:
+class RecoveryCatalog(NamedTuple):
     """All minimal recovery sets of size <= r for every nonzero query.
 
     sets maps a query word to its column-set masks, sorted by size then by
@@ -201,8 +199,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int]) -> 
     return chosen if extend(0, 0) else None
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a verification sweep.
 
     assignments_checked counts the screened batches plus the length of the
@@ -493,7 +490,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     quick screen tries uniform batches first, heaviest query first; with
     deterministic=True the screen is skipped and a failing sweep reports the
     lexicographically least counterexample.  Exhausting either budget yields
-    an undecided verdict instead of silent truncation.
+    an undecided verdict instead of silent truncation.  A budget must be a
+    nonnegative number (zero decides nothing, so the verdict is undecided)
+    and jobs a positive int; anything else raises ValueError.
 
     When every nonzero vector is a column equally often (zero columns
     ignored), GL(k,2) permutes the columns and the sweep searches only one
@@ -530,8 +529,14 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     """
     if t < 1:
         raise ValueError("t must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     if budget_seconds is not None and isnan(budget_seconds):
         raise ValueError("budget_seconds must not be NaN")
+    if budget_seconds is not None and budget_seconds < 0:
+        raise ValueError("budget_seconds must be nonnegative")
+    if budget_batches is not None and budget_batches < 0:
+        raise ValueError("budget_batches must be nonnegative")
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
     catalog = _Catalog(matrix, r)

@@ -6,33 +6,37 @@ columns is an int mask whose bit j selects column j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 MAX_DIMENSION = 24
 MAX_LENGTH = 128
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """k x n matrix over GF(2) stored column-wise.
-
-    Column order is part of the identity: recovery sets index positions,
-    not values, so duplicate columns are permitted.
-    """
-
+class _GeneratorMatrixFields(NamedTuple):
     k: int
     cols: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {self.k}")
-        object.__setattr__(self, "cols", tuple(self.cols))
-        if not 1 <= len(self.cols) <= MAX_LENGTH:
-            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {len(self.cols)}")
-        for j, c in enumerate(self.cols):
-            if not 0 <= c < (1 << self.k):
-                raise ValueError(f"column {j} does not fit dimension {self.k}")
+
+class GeneratorMatrix(_GeneratorMatrixFields):
+    """k x n matrix over GF(2) stored column-wise.
+
+    Column order is part of the identity: recovery sets index positions,
+    not values, so duplicate columns are permitted.  cols may be any
+    iterable of ints; it is stored as a tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, cols: Iterable[int]) -> "GeneratorMatrix":
+        if not 1 <= k <= MAX_DIMENSION:
+            raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {k}")
+        cols = tuple(cols)
+        if not 1 <= len(cols) <= MAX_LENGTH:
+            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {len(cols)}")
+        for j, c in enumerate(cols):
+            if not 0 <= c < (1 << k):
+                raise ValueError(f"column {j} does not fit dimension {k}")
+        return super().__new__(cls, k, cols)
 
     @property
     def n(self) -> int:

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -62,7 +61,7 @@ def test_code_params_validation():
 
 def test_bound_outcome_invariant():
     with pytest.raises(ValueError):
-        BoundOutcome("chain", 4, 4, 5, True, False, Fraction(1))
+        BoundOutcome("chain", 4, 4, 5, True, False, 1)
 
 
 def test_necessary_condition_fixtures():

@@ -291,6 +291,26 @@ def test_verify_nan_time_budget_is_usage_error(monkeypatch, source):
     assert err == "error: budget_seconds must not be NaN\n"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget-batches", "-5", "budget_batches must be nonnegative"),
+    ("--budget-seconds", "-1", "budget_seconds must be nonnegative"),
+    ("--jobs", "-3", "jobs must be positive"),
+    ("--jobs", "0", "jobs must be positive"),
+])
+def test_verify_bad_number_is_usage_error(flag, value, message):
+    # a mistyped flag must not look like an undecided sweep or a serial run
+    code, out, err = run_cli("verify", "--construct", "simplex:3", "--t", "4", "--r", "2",
+                             flag, value)
+    assert (code, out) == (EX_USAGE, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--budget-batches", "--budget-seconds"])
+def test_verify_zero_budget_is_undecided(flag):
+    code, out, _ = run_cli("verify", "--construct", "simplex:3", "--t", "4", "--r", "2", flag, "0")
+    assert (code, out) == (EX_UNDECIDED, "undecided\n")
+
+
 @pytest.mark.parametrize("source", ["flag", "env"])
 def test_verify_infinite_time_budget_is_no_limit(monkeypatch, source):
     argv = ["verify", "--construct", "simplex:3", "--t", "3", "--r", "2"]

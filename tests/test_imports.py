@@ -5,6 +5,7 @@ Each check runs in a fresh interpreter, since this test process has already
 imported every module.
 """
 
+import functools
 import importlib
 import os
 import subprocess
@@ -38,6 +39,12 @@ def pool_loaded(modules):
     return any(m == p or m.startswith(p + ".") for m in modules for p in POOL_MODULES)
 
 
+@functools.cache
+def bare_modules():
+    """What an empty launch loads: site hooks differ between installations."""
+    return frozenset(launch("")[1])
+
+
 def test_package_import_loads_no_engine():
     out, modules = launch("import funcbatch\nprint(' '.join(dir(funcbatch)))")
     assert {m for m in modules if m.startswith("funcbatch.")} == set()
@@ -51,6 +58,26 @@ def test_cli_import_loads_no_process_pool():
     assert "funcbatch.codecheck" not in modules
 
 
+def test_cli_import_loads_only_what_the_parser_needs():
+    # records are named tuples, not dataclasses (whose import pulls in inspect),
+    # and no engine is compiled before a command runs
+    _, modules = launch("import funcbatch.cli")
+    heavy = {"dataclasses", "inspect", "fractions", "decimal",
+             "funcbatch.counting", "funcbatch.codecheck"}
+    assert heavy & (modules - bare_modules()) == set()
+    assert {m for m in modules if m.startswith("funcbatch")} == {
+        "funcbatch", "funcbatch.bounds", "funcbatch.cli", "funcbatch.gf2"}
+
+
+def test_verify_launch_leaves_counting_unloaded():
+    out, modules = launch(
+        "from funcbatch import cli\n"
+        "print(cli.main(['verify', '--construct', 'simplex:3', '--t', '4', '--r', '2']))")
+    assert out == ["holds", "0"]
+    assert "funcbatch.codecheck" in modules
+    assert "funcbatch.counting" not in modules
+
+
 def test_minn_launch_leaves_codecheck_unloaded():
     out, modules = launch(
         "from funcbatch import cli\n"
@@ -58,6 +85,9 @@ def test_minn_launch_leaves_codecheck_unloaded():
     assert out == ["38", "0"]
     assert "funcbatch.codecheck" not in modules
     assert not pool_loaded(modules)
+    # the exact bound loads the counting engine; no bound needs fractions
+    assert "funcbatch.counting" in modules
+    assert "fractions" not in modules - bare_modules()
 
 
 def test_commands_load_only_the_package_and_stdlib(tmp_path):
@@ -71,8 +101,7 @@ def test_commands_load_only_the_package_and_stdlib(tmp_path):
     out, modules = launch(f"from funcbatch import cli\nprint([cli.main(a) for a in {commands!r}])")
     assert out[-1] == "[0, 0, 0, 0, 0]"
     # site hooks of the installation load modules before any code runs
-    _, bare = launch("")
-    extra = {m for m in modules - bare
+    extra = {m for m in modules - bare_modules()
              if m.split(".")[0] not in ("funcbatch", *sys.stdlib_module_names)}
     assert extra == set()
 
