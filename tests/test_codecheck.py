@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import chain, combinations, combinations_with_replacement, product
@@ -312,6 +313,39 @@ def test_time_budget_covers_catalog_building(monkeypatch, deterministic):
     assert sizes == [1, 1, 2]
 
 
+@pytest.mark.parametrize("deterministic,screened", [(False, 15), (True, 0)])
+def test_time_budget_covers_listing_representatives(monkeypatch, deterministic, screened):
+    # with two workers the representatives are listed before any range is
+    # scanned; the clock passes the deadline once three are listed, so the
+    # listing stops and only the screen is settled
+    clock = [0.0]
+    listed = []
+    deadline_passes_at = [3]
+    real = codecheck._representatives
+
+    def representatives(q, t):
+        for pair in real(q, t):
+            listed.append(pair)
+            if len(listed) == deadline_passes_at[0]:
+                clock[0] = 100.0
+            yield pair
+
+    monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(codecheck, "_representatives", representatives)
+    with fixed_workers(2):
+        v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
+        assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
+            UNDECIDED, None, screened, screened)
+        assert len(listed) == 3
+        # with the clock standing still the same run lists all 20 and holds
+        listed.clear()
+        clock[0] = 0.0
+        deadline_passes_at[0] = None
+        v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
+    assert (v.status, v.assignments_checked) == (HOLDS, screened + 11_628)
+    assert len(listed) == 20
+
+
 def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
     sizes = counted_levels(monkeypatch)
     v = verify(simplex(7), 2, 4)
@@ -591,9 +625,74 @@ def test_representatives_hold_every_orbit_minimum(k):
         assert minima <= set(batches)
 
 
+def gl4_orbit_minima(t):
+    """The lex-least member of every GL(4,2) orbit on sorted t-multisets over 1..15.
+
+    Each orbit is the closure of one member under two generators of
+    GL(4,2): e2 -> e1 + e2 fixing the other unit vectors, and the cycle
+    e1 -> e2 -> e3 -> e4 -> e1.  Multisets are visited in lex order, so the
+    first member seen of each orbit is its least.
+    """
+    generators = [[apply_map(images, w) for w in range(16)] for images in ((1, 3, 4, 8), (2, 4, 8, 1))]
+    seen = set()
+    minima = []
+    for batch in combinations_with_replacement(range(1, 16), t):
+        if batch in seen:
+            continue
+        minima.append(batch)
+        seen.add(batch)
+        todo = [batch]
+        while todo:
+            member = todo.pop()
+            for g in generators:
+                image = tuple(sorted(g[w] for w in member))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return minima
+
+
+def assert_representatives_hold_gl4_orbit_minima(t, orbits):
+    reps = list(_representatives(15, t))
+    assert [rank for rank, _ in reps] == [rank_multiset(b, 15) for _, b in reps]
+    minima = gl4_orbit_minima(t)
+    # Burnside's orbit counts for GL(4,2)
+    assert len(minima) == orbits
+    assert set(minima) <= {b for _, b in reps}
+
+
+@pytest.mark.parametrize("t,orbits", [(1, 1), (2, 2), (3, 4), (4, 8), (5, 15), (6, 30)])
+def test_representatives_hold_every_gl4_orbit_minimum(t, orbits):
+    assert_representatives_hold_gl4_orbit_minima(t, orbits)
+
+
+@pytest.mark.stretch
+def test_representatives_hold_every_gl4_orbit_minimum_t8_stretch():
+    assert_representatives_hold_gl4_orbit_minima(8, 107)
+
+
 def test_representative_counts():
-    assert sum(1 for _ in _representatives(15, 8)) == 3551
+    assert sum(1 for _ in _representatives(15, 8)) == 398
     assert sum(1 for _ in _representatives(127, 2)) == 2
+
+
+@pytest.mark.parametrize("matrix", [simplex(4), double_simplex(4)], ids=["simplex4", "double4"])
+@pytest.mark.parametrize("t", [4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_reduced_sweep_matches_full_sweep_k4(matrix, t, r):
+    cols = list(matrix.cols) + [0, 0]
+    random.Random(10 * t + r).shuffle(cols)
+    matrix = GeneratorMatrix(4, tuple(cols))
+    assert _is_invariant(matrix)
+    for deterministic in (False, True):
+        for budget in (None, 0, 37, 500):
+            expected = full_sweep(matrix, t, r, deterministic, budget)
+            for jobs in (1, 2):
+                with fixed_workers(jobs):
+                    v = verify(matrix, t, r, deterministic=deterministic, jobs=jobs,
+                               budget_batches=budget)
+                assert (v.status, v.counterexample, v.assignments_checked) == expected, (
+                    deterministic, budget, jobs)
 
 
 def test_invariance_ignores_order_and_zero_columns():
@@ -607,7 +706,7 @@ def test_invariance_ignores_order_and_zero_columns():
 def test_reduced_sweep_searches_representatives_only():
     v = verify(simplex(3), 4, 2)
     assert v.assignments_checked == 7 + 210
-    assert v.batches_searched == 7 + 14
+    assert v.batches_searched == 7 + 7
 
 
 @pytest.mark.parametrize("deterministic", [False, True])
