@@ -11,6 +11,10 @@ verifies the disjoint-recovery property for concrete generator matrices.
 
 import importlib
 
+# the largest dimension k of a code; both engines check it, so it lives here,
+# which every launch loads, rather than in either engine
+MAX_DIMENSION = 24
+
 # submodule -> the public names it defines.  Names and submodules are
 # imported on first access (PEP 562), so a launch loads only the engines it uses
 _EXPORTS = {

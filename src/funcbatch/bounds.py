@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, NamedTuple, Optional
 
-from funcbatch.gf2 import MAX_DIMENSION
+from funcbatch import MAX_DIMENSION
 
 EXACT = "exact"
 PRODUCT = "product"
@@ -206,9 +206,9 @@ class R2ComparisonRow(NamedTuple):
 def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     """Rows for k = 2..k_max at batch size t = 2^k, cap r = 2.
 
-    The exact column reads big-integer numerators c_t..c_n only up to each
-    length n it tests (see counting.egf_numerators) and no t-by-n table, so
-    k = 12 (t = 4096) is within reach.
+    The exact column reads the reduced numerators of counting.reduced_numerators,
+    built once per (t, r) up to the largest length tested, and no t-by-n
+    table, so k = 12 (t = 4096) takes well under a second.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

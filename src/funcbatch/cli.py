@@ -157,7 +157,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
         value = getattr(counting, _COUNT_METHODS[args.method])(args.n, args.t, args.r)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    print(value)
+    # CPython caps int-to-decimal conversion at 4,300 digits by default; lift
+    # the cap for this print only (3.10.0-3.10.6 have neither cap nor setter)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EX_OK
 
 

@@ -3,13 +3,15 @@
 The central quantity is the number of ways to label n positions with labels
 {0, 1, ..., t} so that every nonzero label appears at least once and at most
 r times.  Three methods compute it in integers throughout: direct summation,
-the memoized recursion of LabellingTable, and the series numerators behind
-the exact counting bound.  The closed-form ceilings on the count are stated
-once, as the bound inequalities of bounds._SPECS.
+the memoized recursion of LabellingTable, and the series numerators divided
+by t! behind the exact counting bound, built once per (t, r).  The
+closed-form ceilings on the count are stated once, as the bound
+inequalities of bounds._SPECS.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from math import comb, factorial
 
@@ -88,38 +90,73 @@ def labelling_count(n: int, t: int, r: int) -> int:
     return LabellingTable(r).count(n, t)
 
 
-@lru_cache(maxsize=64)
-def egf_numerators(t: int, r: int, n: int) -> tuple[int, ...]:
-    """Numerators c_m = m! [x^m] (x/1! + ... + x^r/r!)^t for m = t..min(n, r*t), at index m - t.
+# t! scales every count of a batch size; the exact bound asks for it at each probe
+_factorial = lru_cache(maxsize=64)(factorial)
 
-    c_m counts the labellings of m positions by 1..t that use every label
-    between 1 and r times.  Miller's recurrence for a power of a power series
-    (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x and
-    cleared of denominators, gives c_t = t! and for m >= 1
-        m r! c_{t+m} = sum_{i=1..min(m, r-1)} (ti - m + i) (t+m)_i (r!/(i+1)!) c_{t+m-i}
-    with (t+m)_i a falling factorial; the division is exact.  c_t is built
-    even when n < t.
+
+@lru_cache(maxsize=64)
+def _reduced_cell(t: int, r: int) -> list[tuple[int, ...]]:
+    """One-slot holder of the reduced numerators of (t, r) built so far.
+
+    The slot is only ever rebound to a longer tuple, never mutated, so a
+    reader always sees a complete prefix; lru_cache bounds the keys.
     """
-    _validate_count_args(n, t, r)
-    r_fact = factorial(r)
-    weights = [r_fact // factorial(i + 1) for i in range(r)]
-    c = [factorial(t)]
-    for m in range(1, min(n, r * t) - t + 1):
-        total, falling = 0, 1
-        for i in range(1, min(m, r - 1) + 1):
-            falling *= t + m - i + 1
-            total += (t * i - m + i) * falling * weights[i] * c[m - i]
-        c.append(total // (m * r_fact))
-    return tuple(c)
+    return [(1,)]
+
+
+# held only to compare lengths and publish, never while numerators are built
+_publish_lock = threading.Lock()
+
+
+def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
+    """Reduced numerators g_j = c_{t+j} / t! for j = 0..min(j_max, (r-1)t).
+
+    c_m = m! [x^m] (x/1! + ... + x^r/r!)^t counts the labellings of m
+    positions by 1..t that use every label between 1 and r times.  Permuting
+    the labels acts freely on them, since every label is used, so t!
+    divides every c_m.  Miller's recurrence for a power of a power series
+    (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x, cleared
+    of denominators and divided by t!, gives g_0 = 1 and for j >= 1
+        j r! g_j = sum_{i=1..min(j, r-1)} (ti - j + i) (t+j)_i (r!/(i+1)!) g_{j-i}
+    with (t+j)_i a falling factorial; the division is exact.  The values
+    are kept per (t, r) and extended only past the largest j asked so far.
+    """
+    _validate_count_args(0, t, r)
+    if j_max < 0:
+        raise ValueError("j_max must be nonnegative")
+    top = min(j_max, (r - 1) * t)
+    cell = _reduced_cell(t, r)
+    g = cell[0]
+    if len(g) <= top:
+        r_fact = factorial(r)
+        weights = [r_fact // factorial(i + 1) for i in range(r)]
+        grown = list(g)  # a copy: other readers keep the published tuple
+        for j in range(len(g), top + 1):
+            total, falling = 0, 1
+            for i in range(1, min(j, r - 1) + 1):
+                falling *= t + j - i + 1
+                total += (t * i - j + i) * falling * weights[i] * grown[j - i]
+            grown.append(total // (j * r_fact))
+        g = tuple(grown)
+        with _publish_lock:  # another thread may have published a longer prefix
+            if len(g) > len(cell[0]):
+                cell[0] = g
+    return g[:top + 1]
 
 
 def labelling_count_egf(n: int, t: int, r: int) -> int:
-    """Labelling count sum_m C(n, m) c_m over the numerators of egf_numerators(t, r, n).
+    """Labelling count t! sum_j C(n, t+j) g_j over the reduced numerators g_j.
 
-    C(n, m) places the m positions with a nonzero label (the e^x factor of
-    the series); only the numerators up to m = n are built.
+    C(n, t+j) places the t+j positions with a nonzero label (the e^x factor
+    of the series); each binomial comes from the one before by the exact
+    step C(n, m+1) = C(n, m) (n-m) / (m+1), and only the numerators up to
+    j = n - t are read.
     """
     _validate_count_args(n, t, r)
     if n < t:
-        return 0  # some label has no position; no vector is built
-    return sum(comb(n, m) * c for m, c in enumerate(egf_numerators(t, r, n), start=t))
+        return 0  # some label has no position; no numerator is built
+    binom, total = comb(n, t), 0
+    for j, g in enumerate(reduced_numerators(t, r, n - t)):
+        total += binom * g
+        binom = binom * (n - t - j) // (t + j + 1)
+    return _factorial(t) * total

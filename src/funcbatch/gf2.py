@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-MAX_DIMENSION = 24
+from funcbatch import MAX_DIMENSION
+
 MAX_LENGTH = 128
 
 

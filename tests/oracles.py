@@ -43,6 +43,29 @@ def labelling_upper_iterated(n, t, r):
     return Fraction((2 * n - t - r + 2) ** (r * t), (1 << (r * t)) * factorial(r - 1) ** t)
 
 
+def egf_numerators(t, r, n):
+    """Numerators c_m = m! [x^m] (x/1! + ... + x^r/r!)^t for m = t..min(n, r*t), at index m - t.
+
+    c_m counts the labellings of m positions by 1..t that use every label
+    between 1 and r times.  Miller's recurrence for a power of a power series
+    (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x and
+    cleared of denominators, gives c_t = t! and for m >= 1
+        m r! c_{t+m} = sum_{i=1..min(m, r-1)} (ti - m + i) (t+m)_i (r!/(i+1)!) c_{t+m-i}
+    with (t+m)_i a falling factorial; the division is exact.  c_t is built
+    even when n < t.
+    """
+    r_fact = factorial(r)
+    weights = [r_fact // factorial(i + 1) for i in range(r)]
+    c = [factorial(t)]
+    for m in range(1, min(n, r * t) - t + 1):
+        total, falling = 0, 1
+        for i in range(1, min(m, r - 1) + 1):
+            falling *= t + m - i + 1
+            total += (t * i - m + i) * falling * weights[i] * c[m - i]
+        c.append(total // (m * r_fact))
+    return tuple(c)
+
+
 def rank_multiset(batch, q):
     """Lex rank of a sorted multiset among all sorted len(batch)-multisets over 1..q."""
     t = len(batch)

@@ -129,6 +129,21 @@ def test_min_n_exact_k10_pinned_by_closed_form():
     assert r2_comparison_table(10)[-1].exact_min == 1132
 
 
+@pytest.mark.parametrize("k,n", [(11, 2248), (12, 4468)])
+def test_min_n_exact_past_k10_pinned_by_closed_form(k, n):
+    t = 1 << k
+    rhs = ((1 << k) - 1) ** t
+    assert r2_count_closed_form(n, t) >= rhs > r2_count_closed_form(n - 1, t)
+    assert min_n_exact(k, t, 2) == n
+
+
+@pytest.mark.stretch
+def test_min_n_exact_k13_pinned_by_closed_form_stretch():
+    t, rhs = 8192, 8191 ** 8192
+    assert r2_count_closed_form(8888, t) >= rhs > r2_count_closed_form(8887, t)
+    assert min_n_exact(13, t, 2) == 8888
+
+
 def test_min_n_product_fixture():
     o = min_n(PRODUCT, 10, 2, 3)
     assert o.min_n == 15 and not o.clamped and not o.vacuous

@@ -1,4 +1,5 @@
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,6 +18,7 @@ from funcbatch.cli import (
     parse_matrix,
 )
 from funcbatch.codecheck import double_simplex, simplex
+from funcbatch.counting import labelling_count_egf
 
 
 def run_cli(*argv):
@@ -45,6 +47,24 @@ def test_count_too_few_positions_is_zero():
 def test_count_methods_agree(method):
     code, out, _ = run_cli("count", "--n", "9", "--t", "3", "--r", "3", "--method", method)
     assert code == EX_OK and out == "116340\n"
+
+
+def test_count_prints_every_digit_of_a_huge_count():
+    # beyond CPython's default 4,300-digit cap on int-to-decimal conversion
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    code, out, err = run_cli("count", "--n", "4468", "--t", "4096", "--r", "2", "--method", "egf")
+    assert (code, err) == (EX_OK, "")
+    assert (get_limit() if get_limit else None) == limit  # the cap is back in force
+    digits = out.rstrip("\n")
+    assert out == digits + "\n" and digits.isdigit() and len(digits) > 4300
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == labelling_count_egf(4468, 4096, 2)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_count_rejects_bad_cap():
@@ -202,6 +222,65 @@ MINN_GOLDENS = {
 def test_minn_golden(bound, k, t, r):
     got = run_cli("minn", "--k", str(k), "--t", str(t), "--r", str(r), "--bound", bound)
     assert got == MINN_GOLDENS[bound, k, t, r]
+
+
+# The exact bound past k = 10, where the counts run to thousands of digits.
+EXACT_MINN_GOLDENS = {(11, 2048): "2248\n", (12, 4096): "4468\n"}
+
+
+@pytest.mark.parametrize("k,t", sorted(EXACT_MINN_GOLDENS))
+def test_minn_exact_golden_past_k10(k, t):
+    got = run_cli("minn", "--k", str(k), "--t", str(t), "--r", "2", "--bound", "exact")
+    assert got == (EX_OK, EXACT_MINN_GOLDENS[k, t], "")
+
+
+# stdout of count --n 1132 --t 1024 --r 2 --method egf: the count at the
+# k = 10 exact minimum, 3,084 digits
+COUNT_EGF_T1024_N1132 = (
+    "1990575209024947981179159454994794531995941749663660171178847498906698066499824274672052"
+    "7316897869180634316726880270500472856401784163860925670527559747539197468687880591774884"
+    "4209904700141303446513674684275953491928931769929440414772417764369571124886303279003820"
+    "5083348376540020364447159063567701729344747790131218123184571402532154620933337702552535"
+    "2474321626419420564406068634960743156444401588158260470978224133757214283739386434108523"
+    "2473136772167431341185413520469385377429433736717506642479004580877516996939342368019493"
+    "6843548312408846239402235897412791012356497903932647255275994566078152018869286324952220"
+    "4020484810456746078945150676834905618186203445827194954786726644958723473878841595869159"
+    "9603928982851001484441423194953285136166908167520911768970227531358288985126150078166127"
+    "1569942961824115525609813107318206687873206957863892985623702281470464664464658149166241"
+    "0259382482749210953702639256162654309904205986453238651548748112882637317698759416187048"
+    "5055751576945190567990113655470281486729620418695578956014106448840584160190389299349098"
+    "1016847189405784075279488110009384245823287606665993760632972118753247044015899690877962"
+    "6511945265300724970701114099474916138845137877714354783342131494526409731608322746380197"
+    "0002206327698418712048184250537052269428488665840915635245818888370720360127299325967371"
+    "6391153144294379292818906150641707481507043894089729429306140095413645907920805222515007"
+    "3191363317714237623558414265069207953763527122348044172720773448199781906409836156248124"
+    "5164672286500343374981101154324738436698031174196234909181358683148530574445820872039821"
+    "8276772690506359233462861651907331181461849592460980692141956603789695444327674911216091"
+    "9286796053999828546720576169106831612127771313150350025080096165109796960619994646220741"
+    "8405384684642502369299505291019743834929740067760824499437404220171254070852736128745281"
+    "8393996891052631159132333812565544919341611756495987602408741247441076009762360736994734"
+    "9872012504125591043831597748726696543580634116210888650086187932850271932913375736712373"
+    "8802582259186838775501660086431787304658209688552092907274986579003550876072357132845339"
+    "7605370814464568782787599349140544447623668244698060375856856877276470333605775438663795"
+    "2608727111852353829454252353758117517553056872955138594731318828631463149409771254660976"
+    "3448637658752664720648257472809385553390810143947361828201690702194672927227108120560567"
+    "2089355507076527147654351519856872464365030911474302127728999072010939336013139014641893"
+    "5337552229866281548572860457015556643745579544271537320388480763267826170593229017006928"
+    "1788991240253814502780796553702868772558350986444782116510700945787738048651889681820223"
+    "6680884149626216558986309434103955894074152241873081388765589148904350627756301885852998"
+    "7306546980618596257546863133840711043984207304828921662692626866345856273631143502338309"
+    "4334932910080000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0000"
+    "\n"
+)
+
+
+def test_count_egf_golden_at_k10_minimum():
+    got = run_cli("count", "--n", "1132", "--t", "1024", "--r", "2", "--method", "egf")
+    assert got == (EX_OK, COUNT_EGF_T1024_N1132, "")
+    assert len(COUNT_EGF_T1024_N1132) == 3085
 
 
 def test_table2_rows():

@@ -66,7 +66,7 @@ def test_cli_import_loads_only_what_the_parser_needs():
              "funcbatch.counting", "funcbatch.codecheck"}
     assert heavy & (modules - bare_modules()) == set()
     assert {m for m in modules if m.startswith("funcbatch")} == {
-        "funcbatch", "funcbatch.bounds", "funcbatch.cli", "funcbatch.gf2"}
+        "funcbatch", "funcbatch.bounds", "funcbatch.cli"}
 
 
 def test_verify_launch_leaves_counting_unloaded():
