@@ -37,6 +37,7 @@ import marshal
 import os
 import time
 from collections import defaultdict
+from itertools import combinations_with_replacement, islice
 from math import comb, isnan
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
@@ -167,12 +168,15 @@ def _check_batch(catalog: RecoveryCatalog, batch: Sequence[int]) -> None:
             raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
 
 
-def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int]) -> Optional[list[int]]:
+def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
+                             deadline: Optional[float] = None) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
     Backtracks over queries ordered by ascending candidate count; candidates
     are tried smallest set first.  Prunes when the remaining queries'
-    minimum set sizes exceed the free columns.
+    minimum set sizes exceed the free columns.  With a deadline (a
+    time.monotonic() value) the clock is read every 256 search nodes, and
+    TimeoutError is raised once it has passed.
     """
     _check_batch(catalog, batch)
     if not batch:
@@ -190,12 +194,17 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int]) -> 
         suffix_need[pos] = suffix_need[pos + 1] + min_size[pos]
     chosen: list[int] = [0] * len(batch)
     n = catalog.n
+    nodes = 0
 
     def extend(pos: int, used: int) -> bool:
+        nonlocal nodes
         if pos == len(order):
             return True
         if suffix_need[pos] > n - used.bit_count():
             return False
+        nodes += 1
+        if deadline is not None and not nodes & 255 and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed during the assignment search")
         for mask in cands[order[pos]]:
             if mask & used:
                 continue
@@ -217,7 +226,7 @@ class Verdict(NamedTuple):
     decided, screen included, whether first fit or the complete search
     decided them; it is smaller only when the symmetry reduction settles
     batches without deciding them one by one, and larger at jobs > 1 when
-    ranges past the settled prefix were searched too.
+    workers decided batches past the settled prefix too.
     """
 
     status: str
@@ -233,46 +242,6 @@ class Verdict(NamedTuple):
 
 def _multiset_count(q: int, t: int) -> int:
     return comb(q + t - 1, t)
-
-
-def _unrank_multiset(index: int, q: int, t: int) -> tuple[int, ...]:
-    """Multiset of rank index (lex order) among sorted t-tuples over 1..q."""
-    if not 0 <= index < _multiset_count(q, t):
-        raise ValueError("rank out of range")
-    # sorted multisets over 1..q correspond to strict combinations over 0..q+t-2
-    picks = []
-    v = 0
-    m = q + t - 1
-    rem = index
-    for i in range(t):
-        while True:
-            block = comb(m - v - 1, t - i - 1)
-            if rem < block:
-                picks.append(v)
-                v += 1
-                break
-            rem -= block
-            v += 1
-    return tuple(picks[i] - i + 1 for i in range(t))
-
-
-def _multisets_from(first: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
-    """Lex successor iteration over sorted multisets, starting at first."""
-    cur = list(first)
-    while True:
-        yield tuple(cur)
-        for i in range(len(cur) - 1, -1, -1):
-            if cur[i] < q:
-                v = cur[i] + 1
-                for j in range(i, len(cur)):
-                    cur[j] = v
-                break
-        else:
-            return
-
-
-# (rank, multiset) pairs in increasing rank order
-Ranked = Iterable[tuple[int, tuple[int, ...]]]
 
 
 def _is_invariant(matrix: GeneratorMatrix) -> bool:
@@ -349,33 +318,6 @@ def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     return extend(0, 0, 0, t)
 
 
-def _chunks(limit: int, workers: int, reps: Optional[Ranked], deadline: Optional[float],
-            ) -> Optional[list[tuple[int, int, Optional[Ranked]]]]:
-    """Split ranks 0..limit-1 into at most workers contiguous (lo, hi, representatives) ranges.
-
-    The full sweep (reps None) splits ranks evenly; the reduced sweep splits
-    the representatives ranked below limit evenly, since they crowd the low
-    ranks.  A single range is returned without listing them.  The listing
-    stops when the deadline passes, and None is returned.
-    """
-    if min(workers, limit) <= 1:
-        return [(0, limit, reps)]
-    if reps is None:
-        size = -(-limit // workers)
-        return [(lo, min(lo + size, limit), None) for lo in range(0, limit, size)]
-    listed = []
-    for pair in reps:
-        if pair[0] >= limit:
-            break
-        if deadline is not None and time.monotonic() > deadline:
-            return None
-        listed.append(pair)
-    size = -(-len(listed) // workers)
-    parts = [listed[i:i + size] for i in range(0, len(listed), size)]
-    edges = [0] + [part[0][0] for part in parts[1:]] + [limit]
-    return [(edges[i], edges[i + 1], part) for i, part in enumerate(parts)]
-
-
 def _worker_count(jobs: int) -> int:
     """Processes to run: never more than requested or than usable CPUs.
 
@@ -397,7 +339,7 @@ def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) 
     size up to r built, and is a valid disjoint assignment.  On a miss the
     next size is built, unless the deadline has passed, and first fit runs
     again; with every size built, find_disjoint_assignment's complete search
-    decides.
+    decides, unless the deadline passes during it.
     """
     table = catalog.table
     while True:
@@ -412,40 +354,41 @@ def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) 
         else:
             return True
         if catalog.size == catalog.depth:
-            return find_disjoint_assignment(catalog.full(), batch) is not None
+            try:
+                return find_disjoint_assignment(catalog.full(), batch, deadline=deadline) is not None
+            except TimeoutError:
+                return None
         if deadline is not None and time.monotonic() > deadline:
             return None
         catalog.grow()
 
 
-# (settled, searched, failure, out_of_budget) of one lex range
+# (stop, searched, failure, cut_off) of one scan
 ChunkResult = tuple[int, int, Optional[tuple[int, ...]], bool]
 
 
-def _scan_chunk(catalog: _Catalog, lo: int, hi: int, q: int, t: int,
-                reps: Optional[Ranked], deadline: Optional[float]) -> ChunkResult:
-    """Search the lex range of ranks lo..hi-1; returns (settled, searched, failure, out_of_budget).
+def _scan_chunk(catalog: _Catalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
+                deadline: Optional[float], start: int = 0, step: int = 1) -> ChunkResult:
+    """Decide the (rank, batch) pairs at positions start, start + step, .. of pairs, ranked below limit.
 
-    reps None searches every multiset in the range; otherwise only the given
-    (rank, batch) pairs ranked below hi, and the multisets ranked between
-    them count as settled.  settled is the length of the settled prefix of
-    the range; out_of_budget means the deadline cut the range off.
+    pairs is in increasing rank order.  Returns (stop, searched, failure,
+    cut_off): stop is the first rank left unsettled, that is the failing
+    rank + 1, the rank the deadline cut off, or limit; searched counts the
+    batches decided.
     """
-    if reps is None:
-        reps = zip(range(lo, hi), _multisets_from(_unrank_multiset(lo, q, t), q)) if lo < hi else ()
     searched = 0
-    for rank, batch in reps:
-        if rank >= hi:
+    for rank, batch in islice(pairs, start, None, step):
+        if rank >= limit:
             break
         if deadline is not None and time.monotonic() > deadline:
-            return rank - lo, searched, None, True
+            return rank, searched, None, True
         served = _serves(catalog, batch, deadline)
         if served is None:
-            return rank - lo, searched, None, True
+            return rank, searched, None, True
         searched += 1
         if not served:
-            return rank - lo + 1, searched, batch, False
-    return hi - lo, searched, None, False
+            return rank + 1, searched, batch, False
+    return limit, searched, None, False
 
 
 def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
@@ -544,20 +487,26 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     verdicts, counterexamples and counts are those of a sweep that builds
     every size first.  Forked children inherit the sizes built before the
     fork and build any further ones themselves.  budget_seconds is checked
-    before each size is built as well as before each batch.
+    before each batch, before each size is built and every 256 nodes of the
+    complete search; a batch it cuts off stays unsettled.
 
     budget_batches bounds the screened batches plus the lex prefix of the
-    multisets the sweep may reach, the same prefix at every jobs.  That
-    prefix is split into one contiguous lex range per process: jobs, but
-    never more than the CPUs this process may use (its affinity mask where
-    the platform has one, else os.cpu_count()).  This process scans the
-    first range and forked children one further range each; platforms
-    without os.fork run one range in this process.  Do not call it with
-    jobs > 1 from a process that runs threads.  The settled prefix ends at
-    the first range that failed or that the time budget cut off; the
-    earliest failing range gives the counterexample, except that with
-    deterministic=True a range cut off ahead of it makes the verdict
-    undecided, as at jobs=1.
+    multisets the sweep may reach, the same prefix at every jobs.  The
+    sweep runs in W processes: jobs, but never more than the CPUs this
+    process may use (its affinity mask where the platform has one, else
+    os.cpu_count()) nor than the batches in that prefix.  Each process
+    walks the same lex stream of (rank, batch) pairs, the representatives
+    or every multiset, and process i decides those at positions i, i + W,
+    .., so nothing is listed up front and the work is dealt out evenly.
+    This process takes position 0 and forked children one further
+    position each; platforms without os.fork run one process.  Do not call
+    it with jobs > 1 from a process that runs threads.  Each process stops
+    at its first failure or cut-off and reports the first rank it left
+    unsettled; the settled prefix ends at the least of these, a failure
+    first at a tie.  A failure there is the lex-least one in the prefix.
+    A cut-off there makes the verdict undecided with deterministic=True,
+    as at jobs=1; otherwise the failure of least rank found past it, if
+    any, is the counterexample.
     """
     if t < 1:
         raise ValueError("t must be positive")
@@ -584,8 +533,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     if not deterministic:
         heaviest_first = sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
         uniform = enumerate((w,) * t for w in heaviest_first)
-        checked, searched, failure, cut_off = _scan_chunk(
-            catalog, 0, within_budget(q), q, t, uniform, deadline)
+        checked, searched, failure, cut_off = _scan_chunk(catalog, uniform, within_budget(q), deadline)
         if failure is not None:
             return verdict(FAILS, failure)
         if cut_off or checked < q:
@@ -593,19 +541,22 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     total = _multiset_count(q, t)
     limit = within_budget(total)
-    reps = _representatives(q, t) if _is_invariant(matrix) else None
-    chunks = _chunks(limit, _worker_count(jobs), reps, deadline)
-    if chunks is None:
-        return verdict(UNDECIDED)
-    tasks = [(catalog, lo, hi, q, t, part, deadline) for lo, hi, part in chunks]
-    results = _scan_forked(tasks)
+    invariant = _is_invariant(matrix)
+
+    def stream() -> Iterator[tuple[int, tuple[int, ...]]]:
+        if invariant:
+            return _representatives(q, t)
+        return enumerate(combinations_with_replacement(range(1, q + 1), t))
+
+    workers = max(1, min(_worker_count(jobs), limit))
+    # every task walks its own stream, so no generator is shared between them
+    results = _scan_forked([(catalog, stream(), limit, deadline, i, workers) for i in range(workers)])
     searched += sum(result[1] for result in results)
-    # the settled prefix ends at the first range that failed or was cut off
-    failure, cut_off = None, False
-    for settled, _, failure, cut_off in results:
-        checked += settled
-        if failure is not None or cut_off:
-            break
+    # the settled prefix ends at the least stop; at a tie a failure comes first,
+    # since every rank below its stop, its own included, was then decided
+    results.sort(key=lambda result: (result[0], result[2] is None))
+    stop, _, failure, cut_off = results[0]
+    checked += stop
     if cut_off and not deterministic:
         # any counterexample found past the cut-off is still a counterexample
         failure = next((result[2] for result in results if result[2] is not None), None)

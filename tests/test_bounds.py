@@ -1,5 +1,5 @@
 import random
-from math import comb, factorial
+from math import factorial, perm
 
 import pytest
 
@@ -99,9 +99,21 @@ def test_min_n_exact_is_a_boundary():
 
 
 def r2_count_closed_form(n, t):
-    """Cap-2 count: j labels used twice, t - j once, on t + j of the n positions."""
-    return sum(comb(t, j) * factorial(n) // (factorial(n - t - j) * 2 ** j)
-               for j in range(0, min(t, n - t) + 1))
+    """Cap-2 count: j labels used twice, t - j once, on t + j of the n positions.
+
+    Term j is C(t, j) * n! / ((n - t - j)! * 2^j); the falling factorial
+    n! / (n - t - j)! and C(t, j) are carried from one term to the next, each
+    by one exact step, and 2^j divides the product of the two.
+    """
+    total = 0
+    falling = perm(n, t)
+    choose = 1
+    for j in range(0, min(t, n - t) + 1):
+        if j:
+            falling *= n - t - j + 1
+            choose = choose * (t - j + 1) // j
+        total += choose * falling >> j
+    return total
 
 
 def test_r2_closed_form_matches_table():

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -19,6 +20,8 @@ from funcbatch.cli import (
 )
 from funcbatch.codecheck import double_simplex, simplex
 from funcbatch.counting import labelling_count_egf
+from funcbatch.gf2 import GeneratorMatrix
+from test_fanout import fixed_workers
 
 
 def run_cli(*argv):
@@ -313,6 +316,102 @@ def test_table_writes_file(tmp_path):
 def test_table_unwritable_path_is_io_error(tmp_path):
     code, _, err = run_cli("table", "--which", "2", "--out", str(tmp_path / "no" / "t.csv"))
     assert code == EX_IO and "error:" in err
+
+
+# not invariant, so verify sweeps every multiset of it
+VERIFY_FILE_MATRIX = GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1))
+VERIFY_MODES = {"default": (), "deterministic": ("--deterministic",)}
+VERIFY_BUDGETS = {
+    "none": (),
+    "batches0": ("--budget-batches", "0"),
+    "batches20": ("--budget-batches", "20"),
+    "seconds0": ("--budget-seconds", "0"),
+}
+# (construct or file, t, mode, budget) -> (exit code, stdout, N of "checked N batches") at r = 2,
+# the same at every --jobs
+VERIFY_GOLDENS = {
+    ('simplex:3', 4, 'default', 'none'): (0, 'holds\n', 217),
+    ('simplex:3', 4, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:3', 4, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:3', 4, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:3', 4, 'deterministic', 'none'): (0, 'holds\n', 210),
+    ('simplex:3', 4, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:3', 4, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:3', 4, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:3', 5, 'default', 'none'): (1, 'fails\n7 7 7 7 7\n', 1),
+    ('simplex:3', 5, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:3', 5, 'default', 'batches20'): (1, 'fails\n7 7 7 7 7\n', 1),
+    ('simplex:3', 5, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:3', 5, 'deterministic', 'none'): (1, 'fails\n1 1 1 1 1\n', 1),
+    ('simplex:3', 5, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:3', 5, 'deterministic', 'batches20'): (1, 'fails\n1 1 1 1 1\n', 1),
+    ('simplex:3', 5, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:4', 5, 'default', 'none'): (0, 'holds\n', 11643),
+    ('simplex:4', 5, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:4', 5, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:4', 5, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:4', 5, 'deterministic', 'none'): (0, 'holds\n', 11628),
+    ('simplex:4', 5, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:4', 5, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:4', 5, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:4', 8, 'default', 'none'): (0, 'holds\n', 319785),
+    ('simplex:4', 8, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:4', 8, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:4', 8, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('simplex:4', 8, 'deterministic', 'none'): (0, 'holds\n', 319770),
+    ('simplex:4', 8, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('simplex:4', 8, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('simplex:4', 8, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('double:3', 4, 'default', 'none'): (0, 'holds\n', 217),
+    ('double:3', 4, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('double:3', 4, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('double:3', 4, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('double:3', 4, 'deterministic', 'none'): (0, 'holds\n', 210),
+    ('double:3', 4, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('double:3', 4, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('double:3', 4, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('double:3', 8, 'default', 'none'): (0, 'holds\n', 3010),
+    ('double:3', 8, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('double:3', 8, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('double:3', 8, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('double:3', 8, 'deterministic', 'none'): (0, 'holds\n', 3003),
+    ('double:3', 8, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('double:3', 8, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('double:3', 8, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('file', 3, 'default', 'none'): (0, 'holds\n', 91),
+    ('file', 3, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('file', 3, 'default', 'batches20'): (2, 'undecided\n', 20),
+    ('file', 3, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('file', 3, 'deterministic', 'none'): (0, 'holds\n', 84),
+    ('file', 3, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('file', 3, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('file', 3, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+    ('file', 5, 'default', 'none'): (1, 'fails\n7 7 7 7 7\n', 1),
+    ('file', 5, 'default', 'batches0'): (2, 'undecided\n', 0),
+    ('file', 5, 'default', 'batches20'): (1, 'fails\n7 7 7 7 7\n', 1),
+    ('file', 5, 'default', 'seconds0'): (2, 'undecided\n', 0),
+    ('file', 5, 'deterministic', 'none'): (1, 'fails\n2 2 2 2 2\n', 211),
+    ('file', 5, 'deterministic', 'batches0'): (2, 'undecided\n', 0),
+    ('file', 5, 'deterministic', 'batches20'): (2, 'undecided\n', 20),
+    ('file', 5, 'deterministic', 'seconds0'): (2, 'undecided\n', 0),
+}
+
+
+@pytest.mark.parametrize("source,t,mode,budget", list(VERIFY_GOLDENS))
+def test_verify_golden(tmp_path, source, t, mode, budget):
+    if source == "file":
+        path = tmp_path / "m.txt"
+        path.write_text(format_matrix(VERIFY_FILE_MATRIX))
+        matrix = ("--matrix", str(path))
+    else:
+        matrix = ("--construct", source)
+    for jobs in (1, 2, 3):
+        with fixed_workers(3):
+            code, out, err = run_cli("verify", *matrix, "--t", str(t), "--r", "2", "--jobs", str(jobs),
+                                     *VERIFY_MODES[mode], *VERIFY_BUDGETS[budget])
+        checked = re.fullmatch(r"checked (\d+) batches in \d+\.\d{3}s \(searched \d+\)\n", err)
+        assert checked, err
+        assert (code, out, int(checked.group(1))) == VERIFY_GOLDENS[source, t, mode, budget], jobs
 
 
 def test_verify_construct_simplex2_holds():

@@ -19,11 +19,8 @@ from funcbatch.codecheck import (
     UNDECIDED,
     _Catalog,
     _is_invariant,
-    _multiset_count,
-    _multisets_from,
     _representatives,
     _serves,
-    _unrank_multiset,
     _worker_count,
     build_catalog,
     double_simplex,
@@ -314,36 +311,71 @@ def test_time_budget_covers_catalog_building(monkeypatch, deterministic):
 
 
 @pytest.mark.parametrize("deterministic,screened", [(False, 15), (True, 0)])
-def test_time_budget_covers_listing_representatives(monkeypatch, deterministic, screened):
-    # with two workers the representatives are listed before any range is
-    # scanned; the clock passes the deadline once three are listed, so the
-    # listing stops and only the screen is settled
+def test_time_budget_covers_listing_representatives(monkeypatch, tmp_path, deterministic, screened):
+    # each of two workers walks the representatives itself and logs each one
+    # it walks; in every process the clock passes the deadline once three are
+    # walked, so each worker stops at its next position: this process, which
+    # decides positions 0, 2, .., at position 2 and the child at position 3
     clock = [0.0]
-    listed = []
     deadline_passes_at = [3]
+    log = tmp_path / "walked"
     real = codecheck._representatives
 
     def representatives(q, t):
-        for pair in real(q, t):
-            listed.append(pair)
-            if len(listed) == deadline_passes_at[0]:
+        for walked, pair in enumerate(real(q, t), 1):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            if walked == deadline_passes_at[0]:
                 clock[0] = 100.0
             yield pair
 
+    def walked_per_process():
+        pids = log.read_text().split()
+        log.unlink()
+        return sorted(pids.count(pid) for pid in set(pids))
+
     monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
     monkeypatch.setattr(codecheck, "_representatives", representatives)
+    ranks = [rank for rank, _ in real(15, 5)]
     with fixed_workers(2):
         v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
+        # the settled prefix ends at the representative this process left at
+        # position 2; the two before it were decided, one by each worker
         assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
-            UNDECIDED, None, screened, screened)
-        assert len(listed) == 3
-        # with the clock standing still the same run lists all 20 and holds
-        listed.clear()
+            UNDECIDED, None, screened + ranks[2], screened + 2)
+        assert walked_per_process() == [3, 4]
+        # with the clock standing still each worker walks all 20 and the run holds
         clock[0] = 0.0
         deadline_passes_at[0] = None
         v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
     assert (v.status, v.assignments_checked) == (HOLDS, screened + 11_628)
-    assert len(listed) == 20
+    assert walked_per_process() == [20, 20]
+
+
+def test_time_budget_covers_the_complete_search(monkeypatch):
+    # (1, 1, 1, 1, 1, 2, 2, 2), rank 120, is the first representative that
+    # first fit misses with every size built; the clock passes the deadline as
+    # its complete search starts, so the search stops within 256 nodes and the
+    # batch stays unsettled behind the five representatives ranked before it
+    clock = [0.0]
+    searched = []
+    real = codecheck.find_disjoint_assignment
+
+    def search(catalog, batch, **kwargs):
+        searched.append(batch)
+        clock[0] = 100.0
+        return real(catalog, batch, **kwargs)
+
+    monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(codecheck, "find_disjoint_assignment", search)
+    v = verify(simplex(4), 8, 2, deterministic=True, budget_seconds=10)
+    assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
+        UNDECIDED, None, 120, 5)
+    assert searched == [(1, 1, 1, 1, 1, 2, 2, 2)]
+    catalog = build_catalog(simplex(4), 2)
+    with pytest.raises(TimeoutError):
+        real(catalog, (1, 1, 1, 1, 1, 2, 2, 2), deadline=10.0)
+    assert real(catalog, (1, 1, 1, 1, 1, 2, 2, 2), deadline=1000.0) is not None
 
 
 def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
@@ -390,12 +422,12 @@ def test_verify_deterministic_parallel_budget_is_undecided():
 @pytest.mark.parametrize("matrix,t,deterministic,budget,expected", [
     (GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1)), 4, True, 1, (UNDECIDED, None, 1)),
     (GeneratorMatrix(3, (1, 2, 3, 4, 5, 6, 7, 1)), 4, False, 8, (UNDECIDED, None, 8)),
-    # rank 0 fails, so its one batch must go to the first range
+    # rank 0 fails, and the one batch the budget leaves needs one worker
     (GeneratorMatrix(2, (1, 2)), 2, True, 1, (FAILS, (1, 1), 1)),
 ])
 def test_verify_parallel_budget_keeps_its_remainder(matrix, t, deterministic, budget, expected):
     # a budget of one sweep batch (1, or 8 minus the 7 screened) is one lex
-    # prefix, however many ranges jobs asks for
+    # prefix, however many workers jobs asks for
     for jobs in (1, 2):
         v = verify(matrix, t, 2, deterministic=deterministic, jobs=jobs, budget_batches=budget)
         assert (v.status, v.counterexample, v.assignments_checked) == expected
@@ -422,24 +454,36 @@ def test_verify_agrees_at_every_worker_count(case, deterministic, budget, jobs):
         assert forked.batches_searched == one.batches_searched
 
 
-def test_verify_scans_one_range_per_worker(monkeypatch, tmp_path):
-    # every process, forked children included, logs the ranges it scans
-    log = tmp_path / "ranges"
-    real = codecheck._scan_chunk
+@pytest.mark.parametrize("matrix,t", [
+    # not invariant: the stream is every multiset
+    (GeneratorMatrix(4, tuple(range(1, 16)) + (1,)), 4),
+    # invariant: the stream is the representatives
+    (simplex(4), 6),
+])
+def test_verify_interleaves_stream_positions_across_workers(monkeypatch, tmp_path, matrix, t):
+    # every process, forked children included, logs each batch it decides
+    log = tmp_path / "decided"
+    real = codecheck._serves
 
-    def scan(*args):
+    def serves(catalog, batch, deadline):
         with open(log, "a") as handle:
-            handle.write(f"{args[1]} {args[2]}\n")
-        return real(*args)
+            handle.write(f"{os.getpid()} {' '.join(map(str, batch))}\n")
+        return real(catalog, batch, deadline)
 
-    monkeypatch.setattr(codecheck, "_scan_chunk", scan)
-    matrix = GeneratorMatrix(4, tuple(range(1, 16)) + (1,))
+    monkeypatch.setattr(codecheck, "_serves", serves)
     with fixed_workers(3):
-        v = verify(matrix, 6, 2, deterministic=True, jobs=10**6)
-    assert (v.status, v.assignments_checked) == (HOLDS, 38_760)
-    ranges = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-    assert len(ranges) == 3
-    assert [lo for lo, _ in ranges] + [38_760] == [0] + [hi for _, hi in ranges]
+        v = verify(matrix, t, 2, deterministic=True, jobs=10**6)
+    assert v.holds
+    decided = {}
+    for line in log.read_text().splitlines():
+        pid, *batch = map(int, line.split())
+        decided.setdefault(pid, []).append(tuple(batch))
+    q = 15
+    stream = ([batch for _, batch in _representatives(q, t)] if _is_invariant(matrix)
+              else list(combinations_with_replacement(range(1, q + 1), t)))
+    # process i decides exactly positions i, i + 3, .., so each batch once
+    assert sorted(decided.values()) == [stream[i::3] for i in range(3)]
+    assert v.batches_searched == len(stream)
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,23 +534,6 @@ def test_verify_rejects_bad_batch_size():
         verify(simplex(2), 0, 2)
 
 
-def test_multiset_rank_round_trip():
-    for q, t in [(3, 2), (5, 3), (7, 4)]:
-        all_multisets = list(combinations_with_replacement(range(1, q + 1), t))
-        assert len(all_multisets) == _multiset_count(q, t)
-        for i, m in enumerate(all_multisets):
-            assert _unrank_multiset(i, q, t) == m
-            assert rank_multiset(m, q) == i
-
-
-def test_multiset_successor_iteration():
-    q, t = 4, 3
-    start = _unrank_multiset(5, q, t)
-    expected = list(combinations_with_replacement(range(1, q + 1), t))[5:]
-    got = list(_multisets_from(start, q))
-    assert got == expected
-
-
 def test_verify_simplex4_batch8_stretch():
     v = verify(simplex(4), 8, 2, jobs=2)
     assert v.status == HOLDS
@@ -519,6 +546,30 @@ def test_verify_simplex4_batch8_full_sweep_stretch():
     v = verify(m, 8, 2, jobs=2)
     assert v.status == HOLDS
     assert v.assignments_checked == v.batches_searched == 15 + 319_770
+
+
+@pytest.mark.stretch
+def test_verify_double_simplex4_t16_keeps_its_time_budget_stretch():
+    # the complete search of one batch, (1,)*6 + (2,)*6 + (4,)*4, runs for
+    # about a minute; the budget cuts it off, and no process lists the
+    # 251,108 representatives up front, so the launching process stays small
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak resident set size, VmHWM, from /proc")
+    # VmHWM is this process's own peak; ru_maxrss would keep the peak of the
+    # process it was forked from across the exec
+    script = (
+        "from funcbatch.codecheck import double_simplex, verify\n"
+        "v = verify(double_simplex(4), 16, 2, jobs=2, budget_seconds=2)\n"
+        "peak = next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(v.status, v.wall_time, peak)\n")
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status, seconds, peak_kib = proc.stdout.split()
+    assert status == UNDECIDED
+    assert float(seconds) < 4
+    assert int(peak_kib) < 30 << 10
 
 
 def full_sweep(matrix, t, r, deterministic, budget=None):

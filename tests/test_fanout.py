@@ -17,7 +17,7 @@ from funcbatch import cli, codecheck
 from funcbatch.codecheck import FAILS, HOLDS, UNDECIDED, simplex, verify
 from funcbatch.gf2 import GeneratorMatrix
 
-# not invariant, so its full sweep of 84 multisets at t=3 is split into ranges
+# not invariant, so its full sweep walks all 84 multisets at t=3
 MATRIX = GeneratorMatrix(3, (1, 1, 0, 6, 7, 7, 2))
 
 
@@ -83,7 +83,7 @@ def scan_in_process(tasks):
 @settings(max_examples=40, deadline=None)
 @given(fanout_cases(), st.booleans(), st.none() | st.integers(0, 40))
 def test_forked_scan_matches_in_process_scan(case, deterministic, budget):
-    # the same ranges, scanned by forked children or one after another here
+    # the same tasks, scanned by forked children or one after another here
     matrix, t, r, jobs, workers = case
     runs = []
     for forking in (False, True):
@@ -96,20 +96,21 @@ def test_forked_scan_matches_in_process_scan(case, deterministic, budget):
 
 
 @pytest.mark.parametrize("deterministic,expected", [
-    # the settled prefix ends where the first range was cut off, at (1, 2)
-    (True, (UNDECIDED, None, 1)),
-    # past the cut-off the second range's failure at (3, 7), rank 17, still counts
-    (False, (FAILS, (3, 7), 7 + 1)),
+    # the settled prefix ends where this process was cut off, at (1, 3), rank 2
+    (True, (UNDECIDED, None, 2)),
+    # past the cut-off the child's failure at (3, 7), rank 17, still counts
+    (False, (FAILS, (3, 7), 7 + 2)),
 ])
 def test_a_range_cut_off_ahead_of_a_failing_range(deterministic, expected):
-    # screen served, first failure at rank 17 of 28, so in the second of two ranges
+    # screen served, first failure at rank 17 of 28, an odd position, so the
+    # child of two workers decides it
     matrix = GeneratorMatrix(3, (1, 5, 6, 4, 2))
     assert verify(matrix, 2, 2, deterministic=True).counterexample == (3, 7)
     parent = os.getpid()
     real = codecheck._serves
 
     def serves(catalog, batch, deadline):
-        # this process's range runs out of time at its first non-uniform batch
+        # this process runs out of time at its first non-uniform batch
         if os.getpid() == parent and len(set(batch)) > 1:
             return None
         return real(catalog, batch, deadline)
