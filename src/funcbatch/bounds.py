@@ -10,6 +10,7 @@ since the bound then certifies no unconditional minimum.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple, Optional
 
@@ -83,6 +84,12 @@ class BoundOutcome(_BoundOutcomeFields):
         return None if self.vacuous else self.min_n
 
 
+@lru_cache(maxsize=64)
+def _batch_count(k: int, t: int) -> int:
+    """(2^k - 1)^t, the same at every probe of one solve."""
+    return ((1 << k) - 1) ** t
+
+
 def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     """Pigeonhole test: the labelling count at length n must cover all (2^k-1)^t batches.
 
@@ -94,7 +101,7 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     CodeParams(k, t, r)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return labelling_count_egf(n, t, r) >= ((1 << k) - 1) ** t
+    return labelling_count_egf(n, t, r) >= _batch_count(k, t)
 
 
 def _first_true(cert: Callable[[int], bool], lo: int) -> int:

@@ -37,7 +37,7 @@ import marshal
 import os
 import time
 from collections import defaultdict
-from itertools import combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb, isnan
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
@@ -115,38 +115,30 @@ def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
 class _Catalog:
     """The recovery sets of sizes 1..size, grown one size at a time.
 
-    table[w] holds query w's sets sorted by size then mask: the prefix of
-    its build_catalog tuple up to the sizes built so far.  Treat table as
-    read-only outside this class.
+    k, n and sets are the RecoveryCatalog fields find_disjoint_assignment
+    reads.  sets[w] holds query w's sets sorted by size then mask: the
+    prefix of its build_catalog tuple up to the sizes built so far.  Treat
+    sets as read-only outside this class.
     """
 
     def __init__(self, matrix: GeneratorMatrix, r: int) -> None:
         if r < 1:
             raise ValueError("r must be positive")
         self.matrix = matrix
-        self.r = r
+        self.k = matrix.k
+        self.n = matrix.n
         self.depth = min(r, matrix.n)
         self.size = 0
-        self.table: list[tuple[int, ...]] = [()] * (1 << matrix.k)
-        self._full: Optional[RecoveryCatalog] = None
+        self.sets: dict[int, tuple[int, ...]] = {}
 
     def grow(self) -> None:
-        """Build the sets of the next size and append them to the table."""
+        """Build the sets of the next size and append them to each query's sets."""
         self.size += 1
         level = _level(self.matrix, self.size)
         # pop each query's list as it is appended, so it is not held twice
         while level:
             alpha, masks = level.popitem()
-            self.table[alpha] += tuple(masks)
-
-    def full(self) -> RecoveryCatalog:
-        """Every size up to r, built as needed, as one RecoveryCatalog."""
-        while self.size < self.depth:
-            self.grow()
-        if self._full is None:
-            sets = {w: masks for w, masks in enumerate(self.table) if masks}
-            self._full = RecoveryCatalog(k=self.matrix.k, n=self.matrix.n, r=self.r, sets=sets)
-        return self._full
+            self.sets[alpha] = self.sets.get(alpha, ()) + tuple(masks)
 
 
 def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
@@ -155,38 +147,32 @@ def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
     They are the independent sets of at most r columns, keyed by their xor:
     _level builds each size 1..min(r, n) in increasing mask order, and the
     sizes are joined smallest first, so each query's masks are already
-    sorted by (size, mask) and need no sort.  verify builds the same sizes
-    one at a time, only as far as its batches need them.
+    sorted by (size, mask) and need no sort.  verify grows the same catalog
+    one size at a time, only as far as its batches need it.
     """
-    return _Catalog(matrix, r).full()
+    catalog = _Catalog(matrix, r)
+    while catalog.size < catalog.depth:
+        catalog.grow()
+    return RecoveryCatalog(matrix.k, matrix.n, r, dict(sorted(catalog.sets.items())))
 
 
-def _check_batch(catalog: RecoveryCatalog, batch: Sequence[int]) -> None:
-    limit = 1 << catalog.k
-    for w in batch:
-        if not 1 <= w < limit:
-            raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
-
-
-def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
+def find_disjoint_assignment(catalog: RecoveryCatalog | _Catalog, batch: Sequence[int], *,
                              deadline: Optional[float] = None) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
-    Backtracks over queries ordered by ascending candidate count; candidates
-    are tried smallest set first.  Prunes when the remaining queries'
-    minimum set sizes exceed the free columns.  With a deadline (a
-    time.monotonic() value) the clock is read every 256 search nodes, and
-    TimeoutError is raised once it has passed.
+    Reads only the catalog's k, n and sets, so verify runs it on its own
+    _Catalog grown to full depth.  Backtracks over queries ordered by
+    ascending candidate count; candidates are tried smallest set first.
+    Prunes when the remaining queries' minimum set sizes exceed the free
+    columns.  With a deadline (a time.monotonic() value) the clock is read
+    every 256 search nodes, and TimeoutError is raised once it has passed.
     """
-    _check_batch(catalog, batch)
-    if not batch:
-        return []
-    cands = []
     for w in batch:
-        options = catalog.sets.get(w, ())
-        if not options:
-            return None
-        cands.append(options)
+        if not 1 <= w < 1 << catalog.k:
+            raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
+    cands = [catalog.sets.get(w, ()) for w in batch]
+    if not all(cands):
+        return None
     order = sorted(range(len(batch)), key=lambda i: len(cands[i]))
     min_size = [cands[i][0].bit_count() for i in order]
     suffix_need = [0] * (len(order) + 1)
@@ -242,6 +228,14 @@ class Verdict(NamedTuple):
 
 def _multiset_count(q: int, t: int) -> int:
     return comb(q + t - 1, t)
+
+
+def _heaviest_first(k: int) -> Iterator[int]:
+    """The nonzero k-bit vectors by decreasing weight, then decreasing value, none held."""
+    powers = [1 << b for b in range(k - 1, -1, -1)]
+    for weight in range(k, 0, -1):
+        for bits in combinations(powers, weight):
+            yield sum(bits)
 
 
 def _is_invariant(matrix: GeneratorMatrix) -> bool:
@@ -329,23 +323,26 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, cpus))
 
 
-def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) -> Optional[bool]:
-    """Whether the batch admits disjoint recovery sets of size <= r; None if the deadline passed first.
+def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) -> bool:
+    """Whether the batch admits disjoint recovery sets of size <= r.
 
     First fit decides most batches: the queries, last first, each take their
     first set disjoint from the columns already taken, among the sizes built
     so far.  Each query's sets are sorted by size then mask, so a first fit
     that reaches the end picks exactly the sets it would pick with every
     size up to r built, and is a valid disjoint assignment.  On a miss the
-    next size is built, unless the deadline has passed, and first fit runs
-    again; with every size built, find_disjoint_assignment's complete search
-    decides, unless the deadline passes during it.
+    next size is built and first fit runs again; with every size built,
+    find_disjoint_assignment's complete search decides on this catalog.
+    Raises TimeoutError once the deadline has passed: the clock is read
+    before the batch, before each size is built and every 256 search nodes.
     """
-    table = catalog.table
+    sets = catalog.sets
     while True:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed before the batch was decided")
         used = 0
         for w in reversed(batch):
-            for mask in table[w]:
+            for mask in sets.get(w, ()):
                 if not mask & used:
                     used |= mask
                     break
@@ -354,12 +351,7 @@ def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) 
         else:
             return True
         if catalog.size == catalog.depth:
-            try:
-                return find_disjoint_assignment(catalog.full(), batch, deadline=deadline) is not None
-            except TimeoutError:
-                return None
-        if deadline is not None and time.monotonic() > deadline:
-            return None
+            return find_disjoint_assignment(catalog, batch, deadline=deadline) is not None
         catalog.grow()
 
 
@@ -380,10 +372,9 @@ def _scan_chunk(catalog: _Catalog, pairs: Iterable[tuple[int, tuple[int, ...]]],
     for rank, batch in islice(pairs, start, None, step):
         if rank >= limit:
             break
-        if deadline is not None and time.monotonic() > deadline:
-            return rank, searched, None, True
-        served = _serves(catalog, batch, deadline)
-        if served is None:
+        try:
+            served = _serves(catalog, batch, deadline)
+        except TimeoutError:
             return rank, searched, None, True
         searched += 1
         if not served:
@@ -463,12 +454,14 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     """Decide whether every batch of t queries admits disjoint recovery sets of size <= r.
 
     Sweeps all multisets of nonzero queries in lex order.  By default a
-    quick screen tries uniform batches first, heaviest query first; with
-    deterministic=True the screen is skipped and a failing sweep reports the
-    lexicographically least counterexample.  Exhausting either budget yields
-    an undecided verdict instead of silent truncation.  A budget must be a
-    nonnegative number (zero decides nothing, so the verdict is undecided)
-    and jobs a positive int; anything else raises ValueError.
+    quick screen tries uniform batches first, heaviest query first, each
+    query generated as it is reached, so the budgets bound the screen at
+    any k; with deterministic=True the screen is skipped and a failing
+    sweep reports the lexicographically least counterexample.  Exhausting
+    either budget yields an undecided verdict instead of silent truncation.
+    A budget must be a nonnegative number (zero decides nothing, so the
+    verdict is undecided) and jobs a positive int; anything else raises
+    ValueError.
 
     When every nonzero vector is a column equally often (zero columns
     ignored), GL(k,2) permutes the columns and the sweep searches only the
@@ -531,8 +524,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
         return size if budget_batches is None else max(0, min(size, budget_batches - checked))
 
     if not deterministic:
-        heaviest_first = sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
-        uniform = enumerate((w,) * t for w in heaviest_first)
+        uniform = enumerate((w,) * t for w in _heaviest_first(matrix.k))
         checked, searched, failure, cut_off = _scan_chunk(catalog, uniform, within_budget(q), deadline)
         if failure is not None:
             return verdict(FAILS, failure)

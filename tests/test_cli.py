@@ -414,6 +414,14 @@ def test_verify_golden(tmp_path, source, t, mode, budget):
         assert (code, out, int(checked.group(1))) == VERIFY_GOLDENS[source, t, mode, budget], jobs
 
 
+@pytest.mark.stretch
+def test_verify_double4_t16_holds_stretch():
+    # the doubled simplex of length 30 serves every batch of 16 queries at k = 4
+    code, out, err = run_cli("verify", "--construct", "double:4", "--t", "16", "--r", "2")
+    assert (code, out) == (EX_OK, "holds\n")
+    assert err.startswith("checked 145422690 batches ")
+
+
 def test_verify_construct_simplex2_holds():
     code, out, _ = run_cli("verify", "--construct", "simplex:2", "--t", "2", "--r", "2")
     assert code == EX_OK and out.splitlines()[0] == "holds"

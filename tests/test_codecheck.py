@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import chain, combinations, combinations_with_replacement, product
 from pathlib import Path
 from unittest import mock
@@ -18,6 +19,7 @@ from funcbatch.codecheck import (
     HOLDS,
     UNDECIDED,
     _Catalog,
+    _heaviest_first,
     _is_invariant,
     _representatives,
     _serves,
@@ -401,6 +403,35 @@ def test_verify_simplex7_r4_runs_in_512_mib():
     assert (proc.returncode, proc.stdout) == (0, "holds\n"), proc.stderr
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_screen_order_is_heaviest_first(k):
+    q = (1 << k) - 1
+    assert list(_heaviest_first(k)) == sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
+
+
+def test_verify_batch_budget_bounds_the_screen_at_k24(tmp_path):
+    # the screen once sorted all 2^24 - 1 queries before its first batch
+    resource = pytest.importorskip("resource")
+    from funcbatch.cli import format_matrix
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    # the unit vectors plus the all-ones column
+    cols = tuple(1 << i for i in range(24)) + ((1 << 24) - 1,)
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(GeneratorMatrix(24, cols)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "funcbatch.cli", "verify", "--matrix", str(path),
+         "--t", "1", "--r", "2", "--budget-batches", "10"],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "undecided\n"), proc.stderr
+    assert proc.stderr.startswith("checked 10 batches ")
+
+
 def test_verify_parallel_matches_sequential():
     assert verify(simplex(3), 4, 2, jobs=2).status == HOLDS
     v = verify(simplex(3), 5, 2, jobs=3, deterministic=True)
@@ -514,11 +545,23 @@ def test_first_fit_decider_matches_search_and_oracle(case, data):
     batch = tuple(data.draw(st.lists(st.integers(1, q), min_size=1, max_size=5)))
     cat = build_catalog(matrix, r)
     expected = brute_force_serves(subset_catalog_oracle(matrix, r), batch)
-    # a fresh catalog grows only as far as the batch needs; a built one starts at full depth
-    built = _Catalog(matrix, r)
-    assert built.full() == cat
-    assert _serves(_Catalog(matrix, r), batch, None) == _serves(built, batch, None) == (
+    # a fresh catalog grows only as far as the batch needs; a grown one starts at
+    # full depth, and the complete search picks the same masks on it as on cat
+    grown = _Catalog(matrix, r)
+    while grown.size < grown.depth:
+        grown.grow()
+    assert grown.sets == cat.sets
+    assert find_disjoint_assignment(grown, batch) == find_disjoint_assignment(cat, batch)
+    assert _serves(_Catalog(matrix, r), batch, None) == _serves(grown, batch, None) == (
         find_disjoint_assignment(cat, batch) is not None) == expected
+
+
+def test_serves_past_its_deadline_raises_and_builds_no_size(monkeypatch):
+    sizes = counted_levels(monkeypatch)
+    catalog = _Catalog(simplex(3), 2)
+    with pytest.raises(TimeoutError):
+        _serves(catalog, (7, 7), time.monotonic() - 1)
+    assert (catalog.size, catalog.sets, sizes) == (0, {}, [])
 
 
 def test_verify_matrix_without_full_span_fails():

@@ -112,7 +112,7 @@ def test_a_range_cut_off_ahead_of_a_failing_range(deterministic, expected):
     def serves(catalog, batch, deadline):
         # this process runs out of time at its first non-uniform batch
         if os.getpid() == parent and len(set(batch)) > 1:
-            return None
+            raise TimeoutError
         return real(catalog, batch, deadline)
 
     with fixed_workers(2), mock.patch.object(codecheck, "_serves", serves):
