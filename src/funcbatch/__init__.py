@@ -15,6 +15,9 @@ import importlib
 # which every launch loads, rather than in either engine
 MAX_DIMENSION = 24
 
+# the bound names; the CLI parser reads them without loading the bound solvers
+BOUND_IDS = ("exact", "product", "amgm", "chain", "sqrt", "baseline")
+
 # submodule -> the public names it defines.  Names and submodules are
 # imported on first access (PEP 562), so a launch loads only the engines it uses
 _EXPORTS = {

@@ -14,16 +14,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple, Optional
 
-from funcbatch import MAX_DIMENSION
+from funcbatch import BOUND_IDS, MAX_DIMENSION
 
-EXACT = "exact"
-PRODUCT = "product"
-AMGM = "amgm"
-CHAIN = "chain"
-SQRT = "sqrt"
-BASELINE = "baseline"
-
-BOUND_IDS = (EXACT, PRODUCT, AMGM, CHAIN, SQRT, BASELINE)
+EXACT, PRODUCT, AMGM, CHAIN, SQRT, BASELINE = BOUND_IDS
 
 
 class _CodeParamsFields(NamedTuple):

@@ -5,14 +5,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-# only what the parser needs is imported here (bounds, for --bound); each
-# command imports the engine it runs, so only verify and construct load the
-# verifier
-from funcbatch import bounds
+from funcbatch import BOUND_IDS
 
 if TYPE_CHECKING:
+    from funcbatch.bounds import BoundOutcome
     from funcbatch.gf2 import GeneratorMatrix
 
 EX_OK = 0
@@ -90,24 +88,7 @@ def format_matrix(matrix: GeneratorMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-class CsvTable(NamedTuple):
-    """Comma-separated table with a header row and trailing '#' comment lines."""
-
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    comments: tuple[str, ...] = ()
-
-
-def render_csv(table: CsvTable) -> str:
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        lines.append(",".join(row))
-    for comment in table.comments:
-        lines.append(f"# {comment}")
-    return "\n".join(lines) + "\n"
-
-
-def _cell_text(outcome: bounds.BoundOutcome) -> str:
+def _cell_text(outcome: BoundOutcome) -> str:
     if outcome.vacuous:
         return "-"
     if outcome.clamped:
@@ -115,31 +96,26 @@ def _cell_text(outcome: bounds.BoundOutcome) -> str:
     return str(outcome.min_n)
 
 
-def r2_table_csv() -> CsvTable:
-    rows = []
-    for row in bounds.r2_comparison_table():
-        rows.append(tuple(str(v) for v in (row.k, row.t, row.sqrt_min, row.exact_min, row.construction)))
-    return CsvTable(header=("k", "t", "sqrt", "exact", "construction"), rows=tuple(rows))
+def _table_csv(which: int) -> str:
+    """Table 2 or 3 as CSV: a header row, one line per engine row, then '#' notes."""
+    from funcbatch import bounds
 
-
-def chain_table_csv() -> CsvTable:
+    if which == 2:
+        lines = ["k,t,sqrt,exact,construction"]
+        lines += [",".join(map(str, row)) for row in bounds.r2_comparison_table()]
+        return "\n".join(lines) + "\n"
     configs = bounds.CHAIN_TABLE_CONFIGS
-    header = ("k", "baseline_t2") + tuple(f"chain_t{t}_r{r}" for (t, r) in configs)
-    rows = []
+    lines = ["k,baseline_t2" + "".join(f",chain_t{t}_r{r}" for t, r in configs)]
     notes = []
     for row in bounds.chain_bound_table():
-        cells = [str(row.k), str(row.baseline_min)]
+        lines.append(",".join([str(row.k), str(row.baseline_min), *map(_cell_text, row.cells)]))
         for (t, r), outcome in zip(configs, row.cells):
-            cells.append(_cell_text(outcome))
             if outcome.clamped or outcome.vacuous:
                 kind = "vacuous" if outcome.vacuous else "clamped"
-                notes.append(
-                    f"k={row.k} t={t} r={r}: raw {outcome.raw_min_n}, "
-                    f"floor {outcome.applicability_floor}, {kind}"
-                )
-        rows.append(tuple(cells))
-    notes.append("check: k=8 t=2 r=5 cell is exactly certified at 9 (not 10)")
-    return CsvTable(header=header, rows=tuple(rows), comments=tuple(notes))
+                notes.append(f"# k={row.k} t={t} r={r}: raw {outcome.raw_min_n}, "
+                             f"floor {outcome.applicability_floor}, {kind}")
+    notes.append("# check: k=8 t=2 r=5 cell is exactly certified at 9 (not 10)")
+    return "\n".join(lines + notes) + "\n"
 
 
 # --method name -> function in funcbatch.counting
@@ -171,6 +147,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_minn(args: argparse.Namespace) -> int:
+    from funcbatch import bounds
+
     k, t, r = args.k, args.t, 2 if args.r is None else args.r
     try:
         if args.bound == bounds.EXACT:
@@ -198,8 +176,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    table = r2_table_csv() if args.which == 2 else chain_table_csv()
-    _write_text(args.out, render_csv(table))
+    _write_text(args.out, _table_csv(args.which))
     return EX_OK
 
 
@@ -290,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--t", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--method", choices=sorted(_COUNT_METHODS), default="rec")
+    p_count.add_argument("--method", choices=sorted(_COUNT_METHODS), default="egf")
     p_count.set_defaults(func=_cmd_count)
 
     p_minn = sub.add_parser("minn", help="minimal length under a chosen lower bound")
@@ -298,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_minn.add_argument("--t", type=int, required=True)
     p_minn.add_argument("--r", type=int, default=None,
                         help="recovery-set cap, default 2; sqrt and baseline fix their own")
-    p_minn.add_argument("--bound", choices=bounds.BOUND_IDS, required=True)
+    p_minn.add_argument("--bound", choices=BOUND_IDS, required=True)
     p_minn.set_defaults(func=_cmd_minn)
 
     p_table = sub.add_parser("table", help="emit a bound comparison table as CSV")

@@ -355,18 +355,19 @@ def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) 
         catalog.grow()
 
 
-# (stop, searched, failure, cut_off) of one scan
-ChunkResult = tuple[int, int, Optional[tuple[int, ...]], bool]
+# (stop, searched, failure) of one scan
+ChunkResult = tuple[int, int, Optional[tuple[int, ...]]]
 
 
 def _scan_chunk(catalog: _Catalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
                 deadline: Optional[float], start: int = 0, step: int = 1) -> ChunkResult:
     """Decide the (rank, batch) pairs at positions start, start + step, .. of pairs, ranked below limit.
 
-    pairs is in increasing rank order.  Returns (stop, searched, failure,
-    cut_off): stop is the first rank left unsettled, that is the failing
-    rank + 1, the rank the deadline cut off, or limit; searched counts the
-    batches decided.
+    pairs is in increasing rank order.  Returns (stop, searched, failure):
+    stop is the first rank left unsettled, that is the failing rank + 1,
+    the rank the deadline cut off, or limit; searched counts the batches
+    decided.  So the scan was cut off exactly when it found no failure and
+    stop < limit.
     """
     searched = 0
     for rank, batch in islice(pairs, start, None, step):
@@ -375,11 +376,11 @@ def _scan_chunk(catalog: _Catalog, pairs: Iterable[tuple[int, tuple[int, ...]]],
         try:
             served = _serves(catalog, batch, deadline)
         except TimeoutError:
-            return rank, searched, None, True
+            return rank, searched, None
         searched += 1
         if not served:
-            return rank + 1, searched, batch, False
-    return limit, searched, None, False
+            return rank + 1, searched, batch
+    return limit, searched, None
 
 
 def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
@@ -525,10 +526,10 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     if not deterministic:
         uniform = enumerate((w,) * t for w in _heaviest_first(matrix.k))
-        checked, searched, failure, cut_off = _scan_chunk(catalog, uniform, within_budget(q), deadline)
+        checked, searched, failure = _scan_chunk(catalog, uniform, within_budget(q), deadline)
         if failure is not None:
             return verdict(FAILS, failure)
-        if cut_off or checked < q:
+        if checked < q:
             return verdict(UNDECIDED)
 
     total = _multiset_count(q, t)
@@ -538,7 +539,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     def stream() -> Iterator[tuple[int, tuple[int, ...]]]:
         if invariant:
             return _representatives(q, t)
-        return enumerate(combinations_with_replacement(range(1, q + 1), t))
+        # the first limit multisets hold no query above limit, so a small budget
+        # never builds the pool of all q queries
+        return enumerate(combinations_with_replacement(range(1, min(q, limit) + 1), t))
 
     workers = max(1, min(_worker_count(jobs), limit))
     # every task walks its own stream, so no generator is shared between them
@@ -547,11 +550,12 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     # the settled prefix ends at the least stop; at a tie a failure comes first,
     # since every rank below its stop, its own included, was then decided
     results.sort(key=lambda result: (result[0], result[2] is None))
-    stop, _, failure, cut_off = results[0]
+    stop, _, failure = results[0]
     checked += stop
-    if cut_off and not deterministic:
-        # any counterexample found past the cut-off is still a counterexample
+    if failure is None and stop < limit and not deterministic:
+        # the prefix ends at a cut-off; any counterexample found past it is
+        # still a counterexample
         failure = next((result[2] for result in results if result[2] is not None), None)
     if failure is not None:
         return verdict(FAILS, failure)
-    return verdict(UNDECIDED if cut_off or limit < total else HOLDS)
+    return verdict(UNDECIDED if stop < total else HOLDS)

@@ -1,10 +1,14 @@
 import io
+import os
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import funcbatch
 from funcbatch import cli, codecheck
 from funcbatch.cli import (
     EX_DATA,
@@ -23,6 +27,8 @@ from funcbatch.counting import labelling_count_egf
 from funcbatch.gf2 import GeneratorMatrix
 from test_fanout import fixed_workers
 
+SRC = str(Path(funcbatch.__file__).resolve().parents[1])
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -31,8 +37,21 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_capped(*argv, mib=256):
+    """Run the CLI in a fresh interpreter whose address space is capped at mib MiB."""
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "funcbatch.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap_address_space,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_count_rec_value():
-    code, out, _ = run_cli("count", "--n", "10", "--t", "8", "--r", "2")
+    code, out, _ = run_cli("count", "--n", "10", "--t", "8", "--r", "2", "--method", "rec")
     assert code == EX_OK and out == "41731200\n"
 
 
@@ -286,6 +305,12 @@ def test_count_egf_golden_at_k10_minimum():
     assert len(COUNT_EGF_T1024_N1132) == 3085
 
 
+def test_count_defaults_to_egf_within_256_mib():
+    # rec's LabellingTable holds about t * n big integers, over 400 MiB here
+    proc = run_capped("count", "--n", "1132", "--t", "1024", "--r", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EX_OK, COUNT_EGF_T1024_N1132, "")
+
+
 def test_table2_rows():
     code, out, _ = run_cli("table", "--which", "2")
     lines = out.splitlines()
@@ -477,6 +502,12 @@ def test_verify_nan_time_budget_is_usage_error(monkeypatch, source):
     assert err == "error: budget_seconds must not be NaN\n"
 
 
+def test_verify_non_numeric_budget_env_var_is_usage_error(monkeypatch):
+    monkeypatch.setenv(cli.BUDGET_ENV_VAR, "abc")
+    got = run_cli("verify", "--construct", "simplex:3", "--t", "3", "--r", "2")
+    assert got == (EX_USAGE, "", f"error: {cli.BUDGET_ENV_VAR} must be a number, got 'abc'\n")
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--budget-batches", "-5", "budget_batches must be nonnegative"),
     ("--budget-seconds", "-1", "budget_seconds must be nonnegative"),
@@ -521,6 +552,8 @@ def test_verify_bad_construct_argument():
     assert code == EX_USAGE and "error:" in err
     code, _, _ = run_cli("verify", "--construct", "simplex:9", "--t", "2", "--r", "2")
     assert code == EX_USAGE
+    code, _, err = run_cli("verify", "--construct", "simplex:x", "--t", "2", "--r", "2")
+    assert (code, err) == (EX_USAGE, "error: --construct expects simplex:K or double:K\n")
 
 
 def test_verify_matrix_file_round_trip(tmp_path):
@@ -536,6 +569,25 @@ def test_verify_malformed_matrix_reports_line(tmp_path):
     path.write_text("2 3\n1 0 1\n0 2 1\n")
     code, _, err = run_cli("verify", "--matrix", str(path), "--t", "2", "--r", "2")
     assert code == EX_DATA and "line 3" in err
+
+
+# a matrix file that parses line by line but is not a valid matrix -> its error message
+BAD_MATRIX_FILES = {
+    "k25": ("25 1\n" + "1\n" * 25, "dimension must be in 1..24, got 25"),
+    "n129": ("1 129\n" + " 1" * 129 + "\n", "length must be in 1..128, got 129"),
+    "header_words": ("a b\n1 0\n", "line 1: header must hold two integers"),
+    "header_zero": ("0 3\n", "line 1: k and n must be positive"),
+    "extra_row": ("1 2\n1 0\n0 1\n", "line 3: unexpected extra row"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRIX_FILES))
+def test_verify_bad_matrix_file_is_data_error(tmp_path, name):
+    text, message = BAD_MATRIX_FILES[name]
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    got = run_cli("verify", "--matrix", str(path), "--t", "2", "--r", "2")
+    assert got == (EX_DATA, "", f"error: {message}\n")
 
 
 def test_verify_missing_matrix_file_is_io_error(tmp_path):

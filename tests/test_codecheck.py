@@ -30,8 +30,10 @@ from funcbatch.codecheck import (
     simplex,
     verify,
 )
+from funcbatch.cli import format_matrix
 from funcbatch.gf2 import GeneratorMatrix, rank
 from oracles import in_span, rank_multiset
+from test_cli import run_capped
 from test_fanout import fixed_workers
 from worked_example import worked_example_holds
 
@@ -389,17 +391,7 @@ def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
 
 def test_verify_simplex7_r4_runs_in_512_mib():
     # every set of up to 4 of the 127 columns would take over 500 MiB
-    resource = pytest.importorskip("resource")
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "funcbatch.cli", "verify", "--construct", "simplex:7",
-         "--t", "2", "--r", "4"],
-        env={**os.environ, "PYTHONPATH": path}, preexec_fn=cap_address_space,
-        capture_output=True, text=True, timeout=120)
+    proc = run_capped("verify", "--construct", "simplex:7", "--t", "2", "--r", "4", mib=512)
     assert (proc.returncode, proc.stdout) == (0, "holds\n"), proc.stderr
 
 
@@ -409,27 +401,33 @@ def test_screen_order_is_heaviest_first(k):
     assert list(_heaviest_first(k)) == sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
 
 
-def test_verify_batch_budget_bounds_the_screen_at_k24(tmp_path):
-    # the screen once sorted all 2^24 - 1 queries before its first batch
-    resource = pytest.importorskip("resource")
-    from funcbatch.cli import format_matrix
-
-    def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
-    # the unit vectors plus the all-ones column
+def k24_matrix_file(tmp_path):
+    """A 25-column k = 24 matrix file: the unit vectors plus the all-ones column."""
     cols = tuple(1 << i for i in range(24)) + ((1 << 24) - 1,)
     path = tmp_path / "m.txt"
     path.write_text(format_matrix(GeneratorMatrix(24, cols)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return str(path)
+
+
+def test_verify_batch_budget_bounds_the_screen_at_k24(tmp_path):
+    # the screen once sorted all 2^24 - 1 queries before its first batch
     start = time.monotonic()
-    proc = subprocess.run(
-        [sys.executable, "-m", "funcbatch.cli", "verify", "--matrix", str(path),
-         "--t", "1", "--r", "2", "--budget-batches", "10"],
-        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60)
+    proc = run_capped("verify", "--matrix", k24_matrix_file(tmp_path), "--t", "1", "--r", "2",
+                      "--budget-batches", "10")
     assert time.monotonic() - start < 5
     assert (proc.returncode, proc.stdout) == (2, "undecided\n"), proc.stderr
     assert proc.stderr.startswith("checked 10 batches ")
+
+
+@pytest.mark.parametrize("t, counterexample", [(1, "7"), (2, "1 1")])
+def test_verify_batch_budget_bounds_the_deterministic_pool_at_k24(tmp_path, t, counterexample):
+    # the unreduced sweep once built a pool of all 2^24 - 1 queries before its
+    # first batch; the lex-least counterexample lies within the budget
+    start = time.monotonic()
+    proc = run_capped("verify", "--matrix", k24_matrix_file(tmp_path), "--t", str(t), "--r", "2",
+                      "--budget-batches", "10", "--deterministic")
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout) == (1, f"fails\n{counterexample}\n"), proc.stderr
 
 
 def test_verify_parallel_matches_sequential():

@@ -20,6 +20,15 @@ def test_matrix_validation():
         GeneratorMatrix(2, tuple([1] * 129))
     with pytest.raises(ValueError):
         GeneratorMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError):
+        GeneratorMatrix.from_rows([])
+    with pytest.raises(ValueError):
+        GeneratorMatrix.from_rows([[1, 2]])
+
+
+def test_rank_rejects_a_mask_past_the_length():
+    with pytest.raises(ValueError):
+        rank(EXAMPLE, 1 << EXAMPLE.n)
 
 
 def test_matrix_rows_round_trip():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from funcbatch import bounds, cli
+from funcbatch import bounds
 from funcbatch.bounds import CHAIN, BoundOutcome, CodeParams, min_n
 from funcbatch.codecheck import HOLDS, RecoveryCatalog, Verdict, build_catalog, simplex
 from funcbatch.gf2 import GeneratorMatrix
@@ -19,7 +19,6 @@ def records():
         bounds._SPECS[CHAIN],
         bounds.r2_comparison_table(2)[0],
         bounds.chain_bound_table()[0],
-        cli.r2_table_csv(),
     ]
 
 
