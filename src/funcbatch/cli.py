@@ -30,10 +30,7 @@ class UsageError(Exception):
 
 class MatrixFormatError(ValueError):
     def __init__(self, message: str, line: Optional[int] = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 def parse_matrix(text: str) -> GeneratorMatrix:
@@ -129,10 +126,7 @@ _COUNT_METHODS = {
 def _cmd_count(args: argparse.Namespace) -> int:
     from funcbatch import counting
 
-    try:
-        value = getattr(counting, _COUNT_METHODS[args.method])(args.n, args.t, args.r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    value = getattr(counting, _COUNT_METHODS[args.method])(args.n, args.t, args.r)
     # CPython caps int-to-decimal conversion at 4,300 digits by default; lift
     # the cap for this print only (3.10.0-3.10.6 have neither cap nor setter)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -150,17 +144,14 @@ def _cmd_minn(args: argparse.Namespace) -> int:
     from funcbatch import bounds
 
     k, t, r = args.k, args.t, 2 if args.r is None else args.r
-    try:
-        if args.bound == bounds.EXACT:
-            print(bounds.min_n_exact(k, t, r))
-            return EX_OK
-        cap = bounds._SPECS[args.bound].cap
-        if args.r is not None and cap is not None and args.r != cap:
-            print(f"warning: {args.bound} bound assumes cap {cap}; ignoring --r {args.r}",
-                  file=sys.stderr)
-        outcome = bounds.min_n(args.bound, k, t, r)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.bound == bounds.EXACT:
+        print(bounds.min_n_exact(k, t, r))
+        return EX_OK
+    cap = bounds._SPECS[args.bound].cap
+    if args.r is not None and cap is not None and args.r != cap:
+        print(f"warning: {args.bound} bound assumes cap {cap}; ignoring --r {args.r}",
+              file=sys.stderr)
+    outcome = bounds.min_n(args.bound, k, t, r)
     print(_cell_text(outcome))
     if outcome.clamped or outcome.vacuous:
         print(f"floor={outcome.applicability_floor} raw={outcome.raw_min_n}")
@@ -186,10 +177,7 @@ def _construct(name: str, k: int) -> GeneratorMatrix:
     builders = {"simplex": codecheck.simplex, "double": codecheck.double_simplex}
     if name not in builders:
         raise UsageError(f"unknown constructor {name!r}; use simplex:K or double:K")
-    try:
-        return builders[name](k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return builders[name](k)
 
 
 def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
@@ -223,16 +211,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 budget_seconds = float(env)
             except ValueError:
                 raise UsageError(f"{BUDGET_ENV_VAR} must be a number, got {env!r}") from None
-    try:
-        verdict = codecheck.verify(
-            matrix, args.t, args.r,
-            deterministic=args.deterministic,
-            jobs=args.jobs,
-            budget_seconds=budget_seconds,
-            budget_batches=args.budget_batches,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    verdict = codecheck.verify(
+        matrix, args.t, args.r,
+        deterministic=args.deterministic,
+        jobs=args.jobs,
+        budget_seconds=budget_seconds,
+        budget_batches=args.budget_batches,
+    )
     print(verdict.status)
     if verdict.counterexample is not None:
         queries = (_format_query(w, matrix.k, args.pretty) for w in verdict.counterexample)
@@ -312,12 +297,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, UnicodeDecodeError) as exc:
+        # a matrix file that is not UTF-8 text is bad data too
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    except (UsageError, ValueError) as exc:
+        # an engine rejects an out-of-range argument with ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_IO

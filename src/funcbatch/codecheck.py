@@ -269,8 +269,6 @@ def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     C(q - p + m, m) - C(q - v + m, m) multisets that agree with it before
     entry i and are smaller there, where m = t - i.
     """
-    # grow[m][x] = C(q - x + m, m): the sorted m-multisets over x..q
-    grow = [[comb(q - x + m, m) for x in range(q + 1)] for m in range(t + 1)]
     batch = [0] * t
     count = [0] * max(q + 1, 4)  # count[2] and count[3] are read at q = 1 too
     runs: list[int] = []  # the value of each run, in order
@@ -287,8 +285,9 @@ def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
     def extend(i: int, prev: int, rank: int, cap: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         m = t - i
+        below = rank + comb(q - (prev or 1) + m, m)
         for v in range(prev + 1, min(q, 1 << prev.bit_length()) + 1):
-            at = rank + grow[m][prev or 1] - grow[m][v]
+            at = below - comb(q - v + m, m)
             top = min(m, cap)
             if v > 3 and v & 1:
                 # (c(v), c(v - 1)) and (c(v - 1), c(v)) are at most (c(2), c(3))

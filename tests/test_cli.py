@@ -590,6 +590,17 @@ def test_verify_bad_matrix_file_is_data_error(tmp_path, name):
     assert got == (EX_DATA, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("data", [b"# caf\xe9\n2 3\n1 0 1\n0 1 1\n", b"\x80\x00\xff"],
+                         ids=["latin1", "binary"])
+def test_verify_undecodable_matrix_file_is_data_error(tmp_path, data):
+    # a matrix file that is not UTF-8 text once left main as a traceback with exit 1
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli("verify", "--matrix", str(path), "--t", "2", "--r", "2")
+    assert (code, out) == (EX_DATA, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte ") and err.count("\n") == 1
+
+
 def test_verify_missing_matrix_file_is_io_error(tmp_path):
     code, _, _ = run_cli("verify", "--matrix", str(tmp_path / "ghost.txt"), "--t", "2", "--r", "2")
     assert code == EX_IO

@@ -430,6 +430,14 @@ def test_verify_batch_budget_bounds_the_deterministic_pool_at_k24(tmp_path, t, c
     assert (proc.returncode, proc.stdout) == (1, f"fails\n{counterexample}\n"), proc.stderr
 
 
+def test_verify_batch_budget_bounds_the_reduced_sweep_at_huge_t():
+    # the reduced sweep once built a (t + 1) x 2^k table of binomials before its first batch
+    proc = run_capped("verify", "--construct", "simplex:2", "--t", "1000000", "--r", "2",
+                      "--budget-batches", "10", "--deterministic")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "fails\n" + " ".join(["1"] * 1000000) + "\n"
+
+
 def test_verify_parallel_matches_sequential():
     assert verify(simplex(3), 4, 2, jobs=2).status == HOLDS
     v = verify(simplex(3), 5, 2, jobs=3, deterministic=True)
