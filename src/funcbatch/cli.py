@@ -147,11 +147,12 @@ def _cmd_minn(args: argparse.Namespace) -> int:
     if args.bound == bounds.EXACT:
         print(bounds.min_n_exact(k, t, r))
         return EX_OK
+    # solve first, so that a rejected command prints its error and no warning
+    outcome = bounds.min_n(args.bound, k, t, r)
     cap = bounds._SPECS[args.bound].cap
     if args.r is not None and cap is not None and args.r != cap:
         print(f"warning: {args.bound} bound assumes cap {cap}; ignoring --r {args.r}",
               file=sys.stderr)
-    outcome = bounds.min_n(args.bound, k, t, r)
     print(_cell_text(outcome))
     if outcome.clamped or outcome.vacuous:
         print(f"floor={outcome.applicability_floor} raw={outcome.raw_min_n}")

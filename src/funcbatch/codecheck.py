@@ -63,19 +63,6 @@ def double_simplex(k: int) -> GeneratorMatrix:
     return GeneratorMatrix(k, cols + cols)
 
 
-class RecoveryCatalog(NamedTuple):
-    """All minimal recovery sets of size <= r for every nonzero query.
-
-    sets maps a query word to its column-set masks, sorted by size then by
-    mask.  Treat instances as immutable once built.
-    """
-
-    k: int
-    n: int
-    r: int
-    sets: dict[int, tuple[int, ...]]
-
-
 def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
     """The independent sets of exactly size columns, keyed by xor, each list in increasing mask order.
 
@@ -112,21 +99,22 @@ def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
     return out
 
 
-class _Catalog:
-    """The recovery sets of sizes 1..size, grown one size at a time.
+class RecoveryCatalog:
+    """The minimal recovery sets of sizes 1..size for every query, grown one size at a time.
 
-    k, n and sets are the RecoveryCatalog fields find_disjoint_assignment
-    reads.  sets[w] holds query w's sets sorted by size then mask: the
-    prefix of its build_catalog tuple up to the sizes built so far.  Treat
-    sets as read-only outside this class.
+    sets maps a query word to its column-set masks, sorted by size then by
+    mask.  A new catalog holds no sets (size 0); each grow() appends the
+    sets of the next size, up to depth = min(r, n).  Treat sets as
+    read-only outside this class.
     """
 
     def __init__(self, matrix: GeneratorMatrix, r: int) -> None:
         if r < 1:
             raise ValueError("r must be positive")
-        self.matrix = matrix
+        self._matrix = matrix
         self.k = matrix.k
         self.n = matrix.n
+        self.r = r
         self.depth = min(r, matrix.n)
         self.size = 0
         self.sets: dict[int, tuple[int, ...]] = {}
@@ -134,7 +122,7 @@ class _Catalog:
     def grow(self) -> None:
         """Build the sets of the next size and append them to each query's sets."""
         self.size += 1
-        level = _level(self.matrix, self.size)
+        level = _level(self._matrix, self.size)
         # pop each query's list as it is appended, so it is not held twice
         while level:
             alpha, masks = level.popitem()
@@ -142,7 +130,7 @@ class _Catalog:
 
 
 def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
-    """Enumerate the minimal recovery sets of size <= r for every query.
+    """The catalog of every minimal recovery set of size <= r, grown to depth.
 
     They are the independent sets of at most r columns, keyed by their xor:
     _level builds each size 1..min(r, n) in increasing mask order, and the
@@ -150,19 +138,19 @@ def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
     sorted by (size, mask) and need no sort.  verify grows the same catalog
     one size at a time, only as far as its batches need it.
     """
-    catalog = _Catalog(matrix, r)
+    catalog = RecoveryCatalog(matrix, r)
     while catalog.size < catalog.depth:
         catalog.grow()
-    return RecoveryCatalog(matrix.k, matrix.n, r, dict(sorted(catalog.sets.items())))
+    return catalog
 
 
-def find_disjoint_assignment(catalog: RecoveryCatalog | _Catalog, batch: Sequence[int], *,
+def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
                              deadline: Optional[float] = None) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
-    Reads only the catalog's k, n and sets, so verify runs it on its own
-    _Catalog grown to full depth.  Backtracks over queries ordered by
-    ascending candidate count; candidates are tried smallest set first.
+    Grows the catalog to depth first, deadline or not, so a partly built
+    one answers as build_catalog's would.  Backtracks over queries ordered
+    by ascending candidate count; candidates are tried smallest set first.
     Prunes when the remaining queries' minimum set sizes exceed the free
     columns.  With a deadline (a time.monotonic() value) the clock is read
     every 256 search nodes, and TimeoutError is raised once it has passed.
@@ -170,6 +158,8 @@ def find_disjoint_assignment(catalog: RecoveryCatalog | _Catalog, batch: Sequenc
     for w in batch:
         if not 1 <= w < 1 << catalog.k:
             raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
+    while catalog.size < catalog.depth:
+        catalog.grow()
     cands = [catalog.sets.get(w, ()) for w in batch]
     if not all(cands):
         return None
@@ -322,7 +312,7 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, cpus))
 
 
-def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) -> bool:
+def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[float]) -> bool:
     """Whether the batch admits disjoint recovery sets of size <= r.
 
     First fit decides most batches: the queries, last first, each take their
@@ -358,7 +348,7 @@ def _serves(catalog: _Catalog, batch: Sequence[int], deadline: Optional[float]) 
 ChunkResult = tuple[int, int, Optional[tuple[int, ...]]]
 
 
-def _scan_chunk(catalog: _Catalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
+def _scan_chunk(catalog: RecoveryCatalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
                 deadline: Optional[float], start: int = 0, step: int = 1) -> ChunkResult:
     """Decide the (rank, batch) pairs at positions start, start + step, .. of pairs, ranked below limit.
 
@@ -513,7 +503,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
         raise ValueError("budget_batches must be nonnegative")
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
-    catalog = _Catalog(matrix, r)
+    catalog = RecoveryCatalog(matrix, r)
     q = (1 << matrix.k) - 1
     checked = searched = 0
 

@@ -235,8 +235,7 @@ MINN_GOLDENS = {
     ("baseline", 5, 32, 3): (0, "32\n", "warning: baseline bound assumes cap 1; ignoring --r 3\n"),
     ("baseline", 1, 4, 1): (0, "0\n", ""),
     ("baseline", 4, 3, 0): (0, "6\n", "warning: baseline bound assumes cap 1; ignoring --r 0\n"),
-    ("baseline", 25, 2, 2): (64, "", "warning: baseline bound assumes cap 1; ignoring --r 2\n"
-                              "error: k must be in 1..24, got 25\n"),
+    ("baseline", 25, 2, 2): (64, "", "error: k must be in 1..24, got 25\n"),
 }
 
 

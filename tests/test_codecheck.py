@@ -18,7 +18,7 @@ from funcbatch.codecheck import (
     FAILS,
     HOLDS,
     UNDECIDED,
-    _Catalog,
+    RecoveryCatalog,
     _heaviest_first,
     _is_invariant,
     _representatives,
@@ -223,9 +223,35 @@ def test_verify_deterministic_reports_lex_least():
     assert v.counterexample == (1, 1, 1, 1, 1)
 
 
+def uniform_bound(k, t):
+    """ceil(2tq / (q + 1)) with q = 2^k - 1, a lower bound on the length at every r >= 2.
+
+    A batch of t copies of w needs t disjoint recovery sets, and at most m_w
+    of them, the columns equal to w, are single columns, so n >= 2t - m_w.
+    Summed over the q values of w, with the m_w summing to at most n, this
+    gives (q + 1) n >= 2tq.
+    """
+    q = (1 << k) - 1
+    return -(-2 * t * q // (q + 1))
+
+
+@pytest.mark.parametrize("t,shortest", [(3, 5), (4, 6)])
+def test_uniform_bound_is_the_shortest_length_at_k2(t, shortest):
+    def some_matrix_holds(n):
+        # every multiset of n columns over {0..3}, zero columns included
+        return any(verify(GeneratorMatrix(2, cols), t, 2).holds
+                   for cols in combinations_with_replacement(range(4), n))
+
+    assert uniform_bound(2, t) == shortest
+    assert not some_matrix_holds(shortest - 1) and some_matrix_holds(shortest)
+
+
 def test_verify_double_simplex_serves_doubled_batch():
-    assert verify(double_simplex(2), 4, 2).status == HOLDS
-    assert verify(double_simplex(3), 8, 2).status == HOLDS
+    # at t = 2^k its length meets the uniform bound, so it is a shortest code
+    for k in (1, 2, 3):
+        t = 1 << k
+        assert double_simplex(k).n == (1 << (k + 1)) - 2 == uniform_bound(k, t)
+        assert verify(double_simplex(k), t, 2).status == HOLDS
 
 
 def test_verify_failure_is_monotone_in_batch_size():
@@ -551,23 +577,26 @@ def test_first_fit_decider_matches_search_and_oracle(case, data):
     batch = tuple(data.draw(st.lists(st.integers(1, q), min_size=1, max_size=5)))
     cat = build_catalog(matrix, r)
     expected = brute_force_serves(subset_catalog_oracle(matrix, r), batch)
-    # a fresh catalog grows only as far as the batch needs; a grown one starts at
-    # full depth, and the complete search picks the same masks on it as on cat
-    grown = _Catalog(matrix, r)
-    while grown.size < grown.depth:
-        grown.grow()
-    assert grown.sets == cat.sets
-    assert find_disjoint_assignment(grown, batch) == find_disjoint_assignment(cat, batch)
-    assert _serves(_Catalog(matrix, r), batch, None) == _serves(grown, batch, None) == (
-        find_disjoint_assignment(cat, batch) is not None) == expected
+    masks = find_disjoint_assignment(cat, batch)
+    # the complete search grows a fresh catalog to full depth first, so it
+    # picks the same masks on it as on cat
+    fresh = RecoveryCatalog(matrix, r)
+    assert find_disjoint_assignment(fresh, batch) == masks
+    assert fresh.size == fresh.depth and fresh.sets == cat.sets
+    # _serves grows a fresh catalog only as far as the batch needs
+    assert _serves(RecoveryCatalog(matrix, r), batch, None) == _serves(cat, batch, None) == (
+        masks is not None) == expected
 
 
 def test_serves_past_its_deadline_raises_and_builds_no_size(monkeypatch):
     sizes = counted_levels(monkeypatch)
-    catalog = _Catalog(simplex(3), 2)
+    catalog = RecoveryCatalog(simplex(3), 2)
     with pytest.raises(TimeoutError):
         _serves(catalog, (7, 7), time.monotonic() - 1)
     assert (catalog.size, catalog.sets, sizes) == (0, {}, [])
+    # the complete search grows the same catalog to depth and serves the batch
+    assert find_disjoint_assignment(catalog, (7, 7)) == [64, 12]
+    assert (catalog.size, sizes) == (2, [1, 2])
 
 
 def test_verify_matrix_without_full_span_fails():

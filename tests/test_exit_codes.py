@@ -2,9 +2,8 @@
 
 main returns one of the codes below and never raises.  verify's code is its
 verdict, with the verdict and any counterexample on stdout; a code of 64 or
-more leaves stdout empty and ends stderr with its one 'error: ' line, after
-nothing but 'warning: ' lines.  -h and --help are left out: argparse exits
-through SystemExit by design.
+more leaves stdout empty and stderr exactly one 'error: ' line.  -h and
+--help are left out: argparse exits through SystemExit by design.
 """
 
 import pytest
@@ -111,16 +110,14 @@ def sandbox(tmp_path, monkeypatch):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(matrix_file=MATRIX_FILES, argv=commands())
 @example(matrix_file=b"\x80", argv=["verify", "--matrix", "m.txt", "--t", "2", "--r", "2"])
+@example(matrix_file=b"", argv=["minn", "--k", "25", "--t", "2", "--r", "2", "--bound", "baseline"])
 def test_every_exit_code_keeps_the_contract(sandbox, matrix_file, argv):
     (sandbox / "m.txt").write_bytes(matrix_file)
     code, out, err = run_cli(*argv)
     assert code in EXIT_CODES
     if code >= 64:
         assert out == ""
-        *warnings, error = err.splitlines(keepends=True)
-        assert error.startswith("error: ") and error.endswith("\n")
-        # minn warns of an ignored --r before it solves, as its goldens pin
-        assert all(line.startswith("warning: ") for line in warnings)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         return
     if argv[0] != "verify":
         assert code == EX_OK
