@@ -31,7 +31,7 @@ _EXPORTS = {
         "find_disjoint_assignment", "simplex", "verify",
     ),
     "counting": (
-        "LabellingTable", "labelling_count", "labelling_count_direct", "labelling_count_egf",
+        "LabellingTable", "labelling_count_direct", "labelling_count_egf",
     ),
     "gf2": ("GeneratorMatrix", "rank"),
 }

@@ -88,7 +88,8 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
 
     False certifies that no [n, k, t, r] functional batch code exists.
     """
-    # imported on first use, so a launch that only parses --bound skips it
+    # imported on first use: sqrt and baseline have floors of at most 1, never
+    # test this condition, and so a minn launch that solves either skips it
     from funcbatch.counting import labelling_count_egf
 
     CodeParams(k, t, r)

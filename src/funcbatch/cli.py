@@ -115,18 +115,10 @@ def _table_csv(which: int) -> str:
     return "\n".join(lines + notes) + "\n"
 
 
-# --method name -> function in funcbatch.counting
-_COUNT_METHODS = {
-    "direct": "labelling_count_direct",
-    "rec": "labelling_count",
-    "egf": "labelling_count_egf",
-}
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
-    from funcbatch import counting
+    from funcbatch.counting import labelling_count_egf
 
-    value = getattr(counting, _COUNT_METHODS[args.method])(args.n, args.t, args.r)
+    value = labelling_count_egf(args.n, args.t, args.r)
     # CPython caps int-to-decimal conversion at 4,300 digits by default; lift
     # the cap for this print only (3.10.0-3.10.6 have neither cap nor setter)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -253,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--t", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--method", choices=sorted(_COUNT_METHODS), default="egf")
     p_count.set_defaults(func=_cmd_count)
 
     p_minn = sub.add_parser("minn", help="minimal length under a chosen lower bound")

@@ -2,9 +2,10 @@
 
 The central quantity is the number of ways to label n positions with labels
 {0, 1, ..., t} so that every nonzero label appears at least once and at most
-r times.  Three methods compute it in integers throughout: direct summation,
-the memoized recursion of LabellingTable, and the series numerators divided
-by t! behind the exact counting bound, built once per (t, r).  The
+r times.  labelling_count_egf computes it, in integers throughout, from the
+series numerators divided by t!, built once per (t, r); the exact counting
+bound and the CLI's count read it.  Direct summation and the memoized
+recursion of LabellingTable are kept only as the tests' references.  The
 closed-form ceilings on the count are stated once, as the bound
 inequalities of bounds._SPECS.
 """
@@ -29,8 +30,8 @@ def labelling_count_direct(n: int, t: int, r: int) -> int:
     """Labelling count by direct summation over label-multiplicity vectors.
 
     Sums multinomial(n; n-s, i_1, ..., i_t) over all (i_1, ..., i_t) in
-    [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; intended as the
-    slow reference next to the recursion and the series numerators.
+    [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; a slow reference
+    for the tests, next to LabellingTable.
     """
     _validate_count_args(n, t, r)
     if t == 0:
@@ -58,7 +59,8 @@ class LabellingTable:
     Row t is filled from row t-1 through
         count(n, t) = sum_{i=1..min(r,n)} C(n, i) * count(n-i, t-1),
     with count(n, 0) = 1.  Rows extend lazily; memory is O(t * n) integers.
-    Not safe for concurrent writers; give each worker its own table.
+    Not safe for concurrent writers; give each worker its own table.  No
+    engine uses it: it is the tests' reference for labelling_count_egf.
     """
 
     def __init__(self, r: int) -> None:
@@ -83,11 +85,6 @@ class LabellingTable:
                         val += comb(m, i) * p
                 row.append(val)
         return self._rows[t][n]
-
-
-def labelling_count(n: int, t: int, r: int) -> int:
-    """Labelling count via the memoized recursion (fresh table per call)."""
-    return LabellingTable(r).count(n, t)
 
 
 # t! scales every count of a batch size; the exact bound asks for it at each probe

@@ -23,7 +23,7 @@ from funcbatch.cli import (
     parse_matrix,
 )
 from funcbatch.codecheck import double_simplex, simplex
-from funcbatch.counting import labelling_count_egf
+from funcbatch.counting import LabellingTable, labelling_count_direct, labelling_count_egf
 from funcbatch.gf2 import GeneratorMatrix
 from test_fanout import fixed_workers
 
@@ -51,7 +51,7 @@ def run_capped(*argv, mib=256):
 
 
 def test_count_rec_value():
-    code, out, _ = run_cli("count", "--n", "10", "--t", "8", "--r", "2", "--method", "rec")
+    code, out, _ = run_cli("count", "--n", "10", "--t", "8", "--r", "2")
     assert code == EX_OK and out == "41731200\n"
 
 
@@ -65,17 +65,31 @@ def test_count_too_few_positions_is_zero():
     assert code == EX_OK and out == "0\n"
 
 
-@pytest.mark.parametrize("method", ["direct", "rec", "egf"])
+COUNT_METHODS = {
+    "direct": labelling_count_direct,
+    "rec": lambda n, t, r: LabellingTable(r).count(n, t),
+    "egf": labelling_count_egf,
+}
+
+
+@pytest.mark.parametrize("method", sorted(COUNT_METHODS))
 def test_count_methods_agree(method):
-    code, out, _ = run_cli("count", "--n", "9", "--t", "3", "--r", "3", "--method", method)
+    # count runs labelling_count_egf; the direct sum and the recursion are its references
+    code, out, _ = run_cli("count", "--n", "9", "--t", "3", "--r", "3")
     assert code == EX_OK and out == "116340\n"
+    assert COUNT_METHODS[method](9, 3, 3) == 116340
+
+
+def test_count_has_no_method_option():
+    code, out, err = run_cli("count", "--n", "3", "--t", "2", "--r", "2", "--method", "egf")
+    assert (code, out, err) == (EX_USAGE, "", "error: unrecognized arguments: --method egf\n")
 
 
 def test_count_prints_every_digit_of_a_huge_count():
     # beyond CPython's default 4,300-digit cap on int-to-decimal conversion
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     limit = get_limit() if get_limit else None
-    code, out, err = run_cli("count", "--n", "4468", "--t", "4096", "--r", "2", "--method", "egf")
+    code, out, err = run_cli("count", "--n", "4468", "--t", "4096", "--r", "2")
     assert (code, err) == (EX_OK, "")
     assert (get_limit() if get_limit else None) == limit  # the cap is back in force
     digits = out.rstrip("\n")
@@ -255,7 +269,7 @@ def test_minn_exact_golden_past_k10(k, t):
     assert got == (EX_OK, EXACT_MINN_GOLDENS[k, t], "")
 
 
-# stdout of count --n 1132 --t 1024 --r 2 --method egf: the count at the
+# stdout of count --n 1132 --t 1024 --r 2: the count at the
 # k = 10 exact minimum, 3,084 digits
 COUNT_EGF_T1024_N1132 = (
     "1990575209024947981179159454994794531995941749663660171178847498906698066499824274672052"
@@ -299,13 +313,13 @@ COUNT_EGF_T1024_N1132 = (
 
 
 def test_count_egf_golden_at_k10_minimum():
-    got = run_cli("count", "--n", "1132", "--t", "1024", "--r", "2", "--method", "egf")
+    got = run_cli("count", "--n", "1132", "--t", "1024", "--r", "2")
     assert got == (EX_OK, COUNT_EGF_T1024_N1132, "")
     assert len(COUNT_EGF_T1024_N1132) == 3085
 
 
 def test_count_defaults_to_egf_within_256_mib():
-    # rec's LabellingTable holds about t * n big integers, over 400 MiB here
+    # the recursion's LabellingTable would hold about t * n big integers, over 400 MiB here
     proc = run_capped("count", "--n", "1132", "--t", "1024", "--r", "2")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EX_OK, COUNT_EGF_T1024_N1132, "")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import funcbatch
@@ -246,12 +246,35 @@ def test_uniform_bound_is_the_shortest_length_at_k2(t, shortest):
     assert not some_matrix_holds(shortest - 1) and some_matrix_holds(shortest)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_screen_fails_every_matrix_shorter_than_the_uniform_bound(k, t, r, data):
+    q = (1 << k) - 1
+    assume(uniform_bound(k, t) > 1)
+    n = data.draw(st.integers(1, uniform_bound(k, t) - 1), label="n")
+    # zero and repeated columns included
+    matrix = GeneratorMatrix(k, data.draw(st.lists(st.integers(0, q), min_size=n, max_size=n),
+                                          label="cols"))
+    v = verify(matrix, t, r)
+    assert v.status == FAILS and v.assignments_checked <= q
+    first = v.counterexample[0]
+    assert 1 <= first <= q and v.counterexample == (first,) * t
+    # the queries that too few columns equal, by the bound's own count
+    short = [w for w in range(1, q + 1) if n < 2 * t - min(t, matrix.cols.count(w))]
+    assert short
+    catalog = build_catalog(matrix, r)
+    for w in short:
+        assert find_disjoint_assignment(catalog, (w,) * t) is None
+
+
 def test_verify_double_simplex_serves_doubled_batch():
-    # at t = 2^k its length meets the uniform bound, so it is a shortest code
-    for k in (1, 2, 3):
-        t = 1 << k
-        assert double_simplex(k).n == (1 << (k + 1)) - 2 == uniform_bound(k, t)
-        assert verify(double_simplex(k), t, 2).status == HOLDS
+    # the doubled simplex at t = 2^k and the simplex at t = 2^(k-1) meet the
+    # uniform bound, so each is a shortest code there
+    cases = [(double_simplex, k, 1 << k, (1 << (k + 1)) - 2) for k in (1, 2, 3)]
+    cases += [(simplex, k, 1 << (k - 1), (1 << k) - 1) for k in (1, 2, 3, 4)]
+    for construct, k, t, length in cases:
+        assert construct(k).n == length == uniform_bound(k, t)
+        assert verify(construct(k), t, 2).status == HOLDS
 
 
 def test_verify_failure_is_monotone_in_batch_size():

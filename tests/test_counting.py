@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from funcbatch import counting
 from funcbatch.counting import (
     LabellingTable,
-    labelling_count,
     labelling_count_direct,
     labelling_count_egf,
     reduced_numerators,
@@ -42,7 +41,7 @@ def test_count_matches_brute_force_oracle():
             for r in range(1, 4):
                 expected = brute_force_count(n, t, r)
                 assert labelling_count_direct(n, t, r) == expected
-                assert labelling_count(n, t, r) == expected
+                assert LabellingTable(r).count(n, t) == expected
                 assert labelling_count_egf(n, t, r) == expected
 
 
@@ -55,10 +54,10 @@ def test_count_direct_fixed_values():
 
 
 def test_count_recursion_fixed_values():
-    assert labelling_count(1, 1, 1) == 1
-    assert labelling_count(9, 8, 2) == 1814400
-    assert labelling_count(10, 8, 2) == 41731200
-    assert labelling_count(8, 4, 3) == 148680
+    assert LabellingTable(1).count(1, 1) == 1
+    assert LabellingTable(2).count(9, 8) == 1814400
+    assert LabellingTable(2).count(10, 8) == 41731200
+    assert LabellingTable(3).count(8, 4) == 148680
 
 
 def test_three_methods_agree_on_wider_grid():
@@ -82,7 +81,7 @@ def test_table_agrees_with_direct_on_audit_grid():
 def test_cap_one_count_is_falling_factorial():
     for n in range(0, 10):
         for t in range(0, n + 1):
-            assert labelling_count(n, t, 1) == perm(n, t)
+            assert LabellingTable(1).count(n, t) == perm(n, t)
 
 
 def test_count_monotone_in_n_and_r():
@@ -99,7 +98,7 @@ def test_count_never_exceeds_total_labellings():
     for r in range(1, 5):
         for t in range(0, 5):
             for n in range(0, 13):
-                assert labelling_count(n, t, r) <= (t + 1) ** n
+                assert LabellingTable(r).count(n, t) <= (t + 1) ** n
 
 
 def test_one_step_recursion_inequality():
@@ -115,7 +114,7 @@ def test_args_validation():
     with pytest.raises(ValueError):
         labelling_count_direct(3, 2, 0)
     with pytest.raises(ValueError):
-        labelling_count(-1, 2, 2)
+        LabellingTable(2).count(-1, 2)
     with pytest.raises(ValueError):
         labelling_count_egf(3, -1, 2)
 
@@ -341,7 +340,7 @@ def test_upper_r2_dominates_counts():
 def test_upper_general_values():
     assert labelling_upper_general(10, 8, 2) == 13 ** 8
     assert labelling_upper_general(8, 4, 3) == 52 ** 4 == 7311616
-    assert labelling_count(8, 4, 3) <= labelling_upper_general(8, 4, 3)
+    assert LabellingTable(3).count(8, 4) <= labelling_upper_general(8, 4, 3)
     assert labelling_upper_general(9, 0, 3) == 1
     with pytest.raises(ValueError):
         labelling_upper_general(5, 4, 2)
@@ -349,7 +348,7 @@ def test_upper_general_values():
 
 def test_upper_iterated_values():
     assert labelling_upper_iterated(10, 8, 2) == 6 ** 16 == 2821109907456
-    assert labelling_count(10, 8, 2) <= labelling_upper_iterated(10, 8, 2)
+    assert LabellingTable(2).count(10, 8) <= labelling_upper_iterated(10, 8, 2)
     assert labelling_upper_iterated(9, 0, 5) == 1
     with pytest.raises(ValueError):
         labelling_upper_iterated(8, 8, 2)

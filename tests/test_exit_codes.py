@@ -77,8 +77,7 @@ def commands():
     verify_sources = mostly(st.sampled_from([["--construct"], ["--matrix"], ["--matrix"]]),
                             st.sampled_from([["--construct", "--matrix"], []]))
     argvs = {
-        "count": flags([("--n", ints(0, 8)), ("--t", ints(0, 4)), ("--r", ints(1, 3))],
-                       [("--method", choices(["direct", "rec", "egf"], "fft"))]),
+        "count": flags([("--n", ints(0, 8)), ("--t", ints(0, 4)), ("--r", ints(1, 3))]),
         "minn": flags([("--k", ints(1, 4)), ("--t", ints(1, 4)),
                        ("--bound", choices(BOUND_IDS, "best"))],
                       [("--r", ints(1, 4))]),

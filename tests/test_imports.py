@@ -90,6 +90,18 @@ def test_minn_launch_leaves_codecheck_unloaded():
     assert "fractions" not in modules - bare_modules()
 
 
+@pytest.mark.parametrize("bound,min_n", [("sqrt", "111"), ("baseline", "128")])
+def test_minn_sqrt_and_baseline_leave_counting_unloaded(bound, min_n):
+    # their floors are at most 1, so they never test the exact counting condition
+    out, modules = launch(
+        "from funcbatch import cli\n"
+        f"print(cli.main(['minn', '--k', '7', '--t', '128', '--bound', {bound!r}]))")
+    assert out == [min_n, "0"]
+    assert "funcbatch.bounds" in modules
+    assert "funcbatch.counting" not in modules
+    assert "funcbatch.codecheck" not in modules
+
+
 def test_commands_load_only_the_package_and_stdlib(tmp_path):
     commands = [
         ["count", "--n", "9", "--t", "3", "--r", "3"],
