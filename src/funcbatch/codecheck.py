@@ -39,7 +39,7 @@ import time
 from collections import defaultdict
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb, isnan
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from funcbatch.gf2 import GeneratorMatrix
 
@@ -216,10 +216,6 @@ class Verdict(NamedTuple):
         return self.status == HOLDS
 
 
-def _multiset_count(q: int, t: int) -> int:
-    return comb(q + t - 1, t)
-
-
 def _heaviest_first(k: int) -> Iterator[int]:
     """The nonzero k-bit vectors by decreasing weight, then decreasing value, none held."""
     powers = [1 << b for b in range(k - 1, -1, -1)]
@@ -345,21 +341,20 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
 
 
 # (stop, searched, failure) of one scan
-ChunkResult = tuple[int, int, Optional[tuple[int, ...]]]
+ScanResult = tuple[int, int, Optional[tuple[int, ...]]]
 
 
-def _scan_chunk(catalog: RecoveryCatalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
-                deadline: Optional[float], start: int = 0, step: int = 1) -> ChunkResult:
-    """Decide the (rank, batch) pairs at positions start, start + step, .. of pairs, ranked below limit.
+def _scan(catalog: RecoveryCatalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
+          deadline: Optional[float]) -> ScanResult:
+    """Decide the (rank, batch) pairs, in increasing rank order, ranked below limit.
 
-    pairs is in increasing rank order.  Returns (stop, searched, failure):
-    stop is the first rank left unsettled, that is the failing rank + 1,
-    the rank the deadline cut off, or limit; searched counts the batches
-    decided.  So the scan was cut off exactly when it found no failure and
-    stop < limit.
+    Returns (stop, searched, failure): stop is the first rank left
+    unsettled, that is the failing rank + 1, the rank the deadline cut off,
+    or limit; searched counts the batches decided.  So the scan was cut off
+    exactly when it found no failure and stop < limit.
     """
     searched = 0
-    for rank, batch in islice(pairs, start, None, step):
+    for rank, batch in pairs:
         if rank >= limit:
             break
         try:
@@ -372,29 +367,31 @@ def _scan_chunk(catalog: RecoveryCatalog, pairs: Iterable[tuple[int, tuple[int, 
     return limit, searched, None
 
 
-def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
-    """_scan_chunk over every task: the first in this process, each other in a forked child.
+def _scan_forked(scan: Callable[[int], ScanResult], workers: int) -> list[ScanResult]:
+    """scan(i) for each worker i: scan(0) in this process, each other scan(i) in forked child i.
 
-    A single task forks nothing.  The children inherit the catalog and
-    their task, so nothing is pickled; each sends its result back through a
-    pipe with marshal and leaves with os._exit.  A child that fails or dies
-    makes this raise; whenever this raises, every child still running is
-    killed and reaped first.  Results come back in task order.
+    One worker forks nothing.  Every child is forked before scan(0) runs,
+    so a child inherits what this process held before the call (the
+    catalog built so far) and nothing scan(0) builds; each builds what its
+    own scan needs.  Nothing is pickled: each child sends its result back
+    through a pipe with marshal and leaves with os._exit.  A child that
+    fails or dies makes this raise; whenever this raises, every child still
+    running is killed and reaped first.  Results come back in worker order.
     """
     pipes: list[int] = []  # read end of child i's pipe at index i - 1
     running: list[int] = []  # pids not yet reaped, in child order
     try:
-        for task in tasks[1:]:
+        for i in range(1, workers):
             read_end, write_end = os.pipe()
             pipes.append(read_end)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child_scan(task, write_end)
+                    _child_scan(scan, i, write_end)
             finally:
                 os.close(write_end)
             running.append(pid)
-        results = [_scan_chunk(*tasks[0])]
+        results = [scan(0)]
         for i, read_end in enumerate(pipes, 1):
             with open(read_end, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -404,7 +401,7 @@ def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
                 raise RuntimeError(f"verify worker {i} ended with wait status {status}")
             ok, value = marshal.loads(payload)
             if not ok:
-                raise RuntimeError(f"verify worker {i} failed:\n{value}")
+                raise RuntimeError(f"verify worker {i} failed: {value}")
             results.append(value)
         return results
     finally:
@@ -418,16 +415,14 @@ def _scan_forked(tasks: Sequence[tuple]) -> list[ChunkResult]:
                 os.waitpid(pid, 0)
 
 
-def _child_scan(task: tuple, write_end: int) -> NoReturn:
-    """Body of a forked worker: scan the task, send (ok, result or traceback), exit."""
+def _child_scan(scan: Callable[[int], ScanResult], i: int, write_end: int) -> NoReturn:
+    """Body of forked worker i: send (True, scan(i)) or (False, a one-line error), then exit."""
     status = 1
     try:
         try:
-            payload = marshal.dumps((True, _scan_chunk(*task)))
-        except Exception:
-            import traceback
-
-            payload = marshal.dumps((False, traceback.format_exc()))
+            payload = marshal.dumps((True, scan(i)))
+        except Exception as exc:
+            payload = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
         with open(write_end, "wb", closefd=False) as pipe:
             pipe.write(payload)
         status = 0
@@ -477,12 +472,13 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     multisets the sweep may reach, the same prefix at every jobs.  The
     sweep runs in W processes: jobs, but never more than the CPUs this
     process may use (its affinity mask where the platform has one, else
-    os.cpu_count()) nor than the batches in that prefix.  Each process
-    walks the same lex stream of (rank, batch) pairs, the representatives
-    or every multiset, and process i decides those at positions i, i + W,
-    .., so nothing is listed up front and the work is dealt out evenly.
-    This process takes position 0 and forked children one further
-    position each; platforms without os.fork run one process.  Do not call
+    os.cpu_count()) nor than the batches in that prefix.  Worker i is one
+    call, _scan over positions i, i + W, .. of the lex stream of (rank,
+    batch) pairs, the representatives or every multiset; this process is
+    worker 0 and forked child i is worker i.  Each process builds and
+    walks its own stream after the fork, so nothing is listed up front,
+    the work is dealt out evenly, and this process holds one stream at
+    every jobs.  Platforms without os.fork run one process.  Do not call
     it with jobs > 1 from a process that runs threads.  Each process stops
     at its first failure or cut-off and reports the first rank it left
     unsettled; the settled prefix ends at the least of these, a failure
@@ -515,13 +511,13 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     if not deterministic:
         uniform = enumerate((w,) * t for w in _heaviest_first(matrix.k))
-        checked, searched, failure = _scan_chunk(catalog, uniform, within_budget(q), deadline)
+        checked, searched, failure = _scan(catalog, uniform, within_budget(q), deadline)
         if failure is not None:
             return verdict(FAILS, failure)
         if checked < q:
             return verdict(UNDECIDED)
 
-    total = _multiset_count(q, t)
+    total = comb(q + t - 1, t)
     limit = within_budget(total)
     invariant = _is_invariant(matrix)
 
@@ -533,8 +529,8 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
         return enumerate(combinations_with_replacement(range(1, min(q, limit) + 1), t))
 
     workers = max(1, min(_worker_count(jobs), limit))
-    # every task walks its own stream, so no generator is shared between them
-    results = _scan_forked([(catalog, stream(), limit, deadline, i, workers) for i in range(workers)])
+    results = _scan_forked(
+        lambda i: _scan(catalog, islice(stream(), i, None, workers), limit, deadline), workers)
     searched += sum(result[1] for result in results)
     # the settled prefix ends at the least stop; at a tie a failure comes first,
     # since every rank below its stop, its own included, was then decided

@@ -1,6 +1,8 @@
 """Reference implementations the tests compare the library against; nothing in src/ calls them."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, perm
 
 
@@ -15,6 +17,16 @@ def in_span(matrix, col_mask, alpha):
         if col_mask >> j & 1:
             span |= {v ^ c for v in span}
     return alpha in span
+
+
+def brute_force_count(n, t, r):
+    """Enumerate all (t+1)^n label functions; keep those using each nonzero label 1..r times."""
+    total = 0
+    for labels in product(range(t + 1), repeat=n):
+        tally = Counter(labels)
+        if all(1 <= tally.get(l, 0) <= r for l in range(1, t + 1)):
+            total += 1
+    return total
 
 
 def labelling_upper_r2(n, t):

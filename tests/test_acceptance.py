@@ -6,8 +6,6 @@ for information but not asserted.
 
 import random
 import time
-from collections import Counter
-from itertools import product
 from math import factorial
 
 from funcbatch import bounds
@@ -18,7 +16,7 @@ from funcbatch.counting import (
     labelling_count_direct,
     labelling_count_egf,
 )
-from oracles import labelling_upper_general, labelling_upper_iterated, labelling_upper_r2
+from oracles import brute_force_count, labelling_upper_general, labelling_upper_iterated, labelling_upper_r2
 from worked_example import worked_example_holds
 
 
@@ -72,15 +70,6 @@ def test_criterion_2_chain_bound_table():
     _report(2, "chain bound table", started)
 
 
-def _brute_force_count(n, t, r):
-    total = 0
-    for labels in product(range(t + 1), repeat=n):
-        tally = Counter(labels)
-        if all(1 <= tally.get(l, 0) <= r for l in range(1, t + 1)):
-            total += 1
-    return total
-
-
 def test_criterion_3_count_method_equivalence():
     started = time.monotonic()
     for r in range(1, 5):
@@ -94,7 +83,7 @@ def test_criterion_3_count_method_equivalence():
         table = LabellingTable(r)
         for t in range(0, 4):
             for n in range(0, 8):
-                assert table.count(n, t) == _brute_force_count(n, t, r)
+                assert table.count(n, t) == brute_force_count(n, t, r)
     _report(3, "count method equivalence", started)
 
 

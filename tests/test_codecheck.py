@@ -450,18 +450,18 @@ def test_screen_order_is_heaviest_first(k):
     assert list(_heaviest_first(k)) == sorted(range(1, q + 1), key=lambda v: (-v.bit_count(), -v))
 
 
-def k24_matrix_file(tmp_path):
-    """A 25-column k = 24 matrix file: the unit vectors plus the all-ones column."""
-    cols = tuple(1 << i for i in range(24)) + ((1 << 24) - 1,)
+def units_and_ones_file(tmp_path, k=24):
+    """A (k + 1)-column matrix file: the k unit vectors plus the all-ones column."""
+    cols = tuple(1 << i for i in range(k)) + ((1 << k) - 1,)
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix(GeneratorMatrix(24, cols)))
+    path.write_text(format_matrix(GeneratorMatrix(k, cols)))
     return str(path)
 
 
 def test_verify_batch_budget_bounds_the_screen_at_k24(tmp_path):
     # the screen once sorted all 2^24 - 1 queries before its first batch
     start = time.monotonic()
-    proc = run_capped("verify", "--matrix", k24_matrix_file(tmp_path), "--t", "1", "--r", "2",
+    proc = run_capped("verify", "--matrix", units_and_ones_file(tmp_path), "--t", "1", "--r", "2",
                       "--budget-batches", "10")
     assert time.monotonic() - start < 5
     assert (proc.returncode, proc.stdout) == (2, "undecided\n"), proc.stderr
@@ -473,10 +473,19 @@ def test_verify_batch_budget_bounds_the_deterministic_pool_at_k24(tmp_path, t, c
     # the unreduced sweep once built a pool of all 2^24 - 1 queries before its
     # first batch; the lex-least counterexample lies within the budget
     start = time.monotonic()
-    proc = run_capped("verify", "--matrix", k24_matrix_file(tmp_path), "--t", str(t), "--r", "2",
+    proc = run_capped("verify", "--matrix", units_and_ones_file(tmp_path), "--t", str(t), "--r", "2",
                       "--budget-batches", "10", "--deterministic")
     assert time.monotonic() - start < 5
     assert (proc.returncode, proc.stdout) == (1, f"fails\n{counterexample}\n"), proc.stderr
+
+
+@pytest.mark.skipif(_worker_count(2) < 2, reason="needs 2 usable CPUs")
+def test_verify_jobs_does_not_multiply_the_parents_pool_at_k22(tmp_path):
+    # each process builds its own pool of 2^22 - 1 queries after the fork; a
+    # parent that built one pool per worker ran out of memory here
+    proc = run_capped("verify", "--matrix", units_and_ones_file(tmp_path, 22), "--t", "2", "--r", "2",
+                      "--deterministic", "--jobs", "2", "--budget-seconds", "2", mib=256)
+    assert (proc.returncode, proc.stdout) == (1, "fails\n1 1\n"), proc.stderr
 
 
 def test_verify_batch_budget_bounds_the_reduced_sweep_at_huge_t():

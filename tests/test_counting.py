@@ -1,9 +1,7 @@
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, perm
 
 import pytest
@@ -18,21 +16,12 @@ from funcbatch.counting import (
     reduced_numerators,
 )
 from oracles import (
+    brute_force_count,
     egf_numerators,
     labelling_upper_general,
     labelling_upper_iterated,
     labelling_upper_r2,
 )
-
-
-def brute_force_count(n, t, r):
-    """Enumerate all (t+1)^n label functions; keep those using each nonzero label 1..r times."""
-    total = 0
-    for labels in product(range(t + 1), repeat=n):
-        tally = Counter(labels)
-        if all(1 <= tally.get(l, 0) <= r for l in range(1, t + 1)):
-            total += 1
-    return total
 
 
 def test_count_matches_brute_force_oracle():

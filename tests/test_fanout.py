@@ -68,6 +68,43 @@ def test_forked_sweep_matches_in_process(jobs, workers):
     assert_no_children()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scan_forked_returns_every_workers_result_in_worker_order(workers):
+    forks, counting = counted_forks()
+    with counting:
+        results = codecheck._scan_forked(lambda i: (i, i * i, (i,) * i), workers)
+    assert results == [(i, i * i, (i,) * i) for i in range(workers)]
+    assert len(forks) == workers - 1
+    assert_no_children()
+
+
+def calls_by_pid(name):
+    """Patch codecheck's name to record os.getpid() at each call; forked children record in their own copy."""
+    pids = []
+    real = getattr(codecheck, name)
+
+    def wrapper(*args):
+        pids.append(os.getpid())
+        return real(*args)
+
+    return pids, mock.patch.object(codecheck, name, wrapper)
+
+
+@pytest.mark.parametrize("name,case", [
+    ("_representatives", (simplex(3), 4, 2, False)),
+    ("combinations_with_replacement", (MATRIX, 3, 2, True)),
+])
+def test_the_parent_builds_its_stream_once_at_every_jobs(name, case):
+    # each worker builds its own stream after the fork, so the parent's
+    # memory does not grow with jobs
+    matrix, t, r, deterministic = case
+    pids, recording = calls_by_pid(name)
+    with fixed_workers(3), recording:
+        verify(matrix, t, r, deterministic=deterministic, jobs=3)
+    assert pids == [os.getpid()]
+    assert_no_children()
+
+
 @st.composite
 def fanout_cases(draw):
     k = draw(st.integers(1, 3))
@@ -76,8 +113,8 @@ def fanout_cases(draw):
             draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3])))
 
 
-def scan_in_process(tasks):
-    return [codecheck._scan_chunk(*task) for task in tasks]
+def scan_in_process(scan, workers):
+    return [scan(i) for i in range(workers)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -147,7 +184,8 @@ def test_a_failed_worker_is_a_software_error_at_the_cli(action, capsys):
         code = cli.main(argv)
     out, err = capsys.readouterr()
     assert (code, out) == (cli.EX_SOFTWARE, "")
-    assert err.startswith("error: verify worker 1 ")
+    # one error: line, not the child's traceback
+    assert err.startswith("error: verify worker 1 ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert_no_children()
 
 
