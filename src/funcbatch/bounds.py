@@ -10,7 +10,6 @@ since the bound then certifies no unconditional minimum.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
 from typing import Callable, NamedTuple, Optional
 
@@ -77,12 +76,6 @@ class BoundOutcome(_BoundOutcomeFields):
         return None if self.vacuous else self.min_n
 
 
-@lru_cache(maxsize=64)
-def _batch_count(k: int, t: int) -> int:
-    """(2^k - 1)^t, the same at every probe of one solve."""
-    return ((1 << k) - 1) ** t
-
-
 def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     """Pigeonhole test: the labelling count at length n must cover all (2^k-1)^t batches.
 
@@ -95,7 +88,7 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     CodeParams(k, t, r)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return labelling_count_egf(n, t, r) >= _batch_count(k, t)
+    return labelling_count_egf(n, t, r) >= ((1 << k) - 1) ** t
 
 
 def _first_true(cert: Callable[[int], bool], lo: int) -> int:
@@ -117,9 +110,12 @@ def _first_true(cert: Callable[[int], bool], lo: int) -> int:
 
 
 def min_n_exact(k: int, t: int, r: int) -> int:
-    """Smallest length passing the exact counting condition (gallop + bisect)."""
+    """Smallest length passing the exact counting condition; every probe reads one counter."""
+    from funcbatch.counting import labelling_counter
+
     CodeParams(k, t, r)
-    return _first_true(lambda n: necessary_condition(n, k, t, r), lo=t)
+    count, rhs = labelling_counter(t, r), ((1 << k) - 1) ** t
+    return _first_true(lambda n: count(n) >= rhs, lo=t)
 
 
 class _Spec(NamedTuple):
@@ -207,9 +203,9 @@ class R2ComparisonRow(NamedTuple):
 def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     """Rows for k = 2..k_max at batch size t = 2^k, cap r = 2.
 
-    The exact column reads the reduced numerators of counting.reduced_numerators,
-    built once per (t, r) up to the largest length tested, and no t-by-n
-    table, so k = 12 (t = 4096) takes well under a second.
+    The exact column's search reads one labelling counter per row, whose
+    reduced numerators are built once up to the largest length tested, and
+    no t-by-n table, so k = 12 (t = 4096) takes well under a second.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")

@@ -48,6 +48,14 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 
+def _check_count(name: str, value: object, positive: bool = True) -> None:
+    """Raise ValueError unless value is an int that is positive, or nonnegative if not positive."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < (1 if positive else 0):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+
+
 def simplex(k: int) -> GeneratorMatrix:
     """Generator whose columns are all nonzero k-bit vectors in increasing integer order."""
     if not 1 <= k <= 7:
@@ -109,8 +117,7 @@ class RecoveryCatalog:
     """
 
     def __init__(self, matrix: GeneratorMatrix, r: int) -> None:
-        if r < 1:
-            raise ValueError("r must be positive")
+        _check_count("r", r)
         self._matrix = matrix
         self.k = matrix.k
         self.n = matrix.n
@@ -444,9 +451,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     any k; with deterministic=True the screen is skipped and a failing
     sweep reports the lexicographically least counterexample.  Exhausting
     either budget yields an undecided verdict instead of silent truncation.
-    A budget must be a nonnegative number (zero decides nothing, so the
-    verdict is undecided) and jobs a positive int; anything else raises
-    ValueError.
+    A budget must be a nonnegative number, budget_batches an int (zero
+    decides nothing, so the verdict is undecided), and t, r and jobs
+    positive ints; anything else raises ValueError.
 
     When every nonzero vector is a column equally often (zero columns
     ignored), GL(k,2) permutes the columns and the sweep searches only the
@@ -487,16 +494,14 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     as at jobs=1; otherwise the failure of least rank found past it, if
     any, is the counterexample.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
+    _check_count("t", t)
+    _check_count("jobs", jobs)
     if budget_seconds is not None and isnan(budget_seconds):
         raise ValueError("budget_seconds must not be NaN")
     if budget_seconds is not None and budget_seconds < 0:
         raise ValueError("budget_seconds must be nonnegative")
-    if budget_batches is not None and budget_batches < 0:
-        raise ValueError("budget_batches must be nonnegative")
+    if budget_batches is not None:
+        _check_count("budget_batches", budget_batches, positive=False)
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
     catalog = RecoveryCatalog(matrix, r)

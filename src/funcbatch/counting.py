@@ -2,19 +2,21 @@
 
 The central quantity is the number of ways to label n positions with labels
 {0, 1, ..., t} so that every nonzero label appears at least once and at most
-r times.  labelling_count_egf computes it, in integers throughout, from the
-series numerators divided by t!, built once per (t, r); the exact counting
-bound and the CLI's count read it.  Direct summation and the memoized
-recursion of LabellingTable are kept only as the tests' references.  The
-closed-form ceilings on the count are stated once, as the bound
-inequalities of bounds._SPECS.
+r times.  labelling_counter computes it, in integers throughout, from the
+series numerators divided by t!, which each counter builds for itself only
+as far as the lengths asked of it; the exact counting bound keeps one
+counter for its whole search, and labelling_count_egf, which the CLI's count
+reads, builds one per call.  No state is shared between calls.  Direct
+summation and the memoized recursion of LabellingTable are kept only as the
+tests' references.  The closed-form ceilings on the count are stated once,
+as the bound inequalities of bounds._SPECS.
 """
 
 from __future__ import annotations
 
-import threading
-from functools import lru_cache
+from itertools import islice
 from math import comb, factorial
+from typing import Callable, Iterator
 
 
 def _validate_count_args(n: int, t: int, r: int) -> None:
@@ -87,26 +89,8 @@ class LabellingTable:
         return self._rows[t][n]
 
 
-# t! scales every count of a batch size; the exact bound asks for it at each probe
-_factorial = lru_cache(maxsize=64)(factorial)
-
-
-@lru_cache(maxsize=64)
-def _reduced_cell(t: int, r: int) -> list[tuple[int, ...]]:
-    """One-slot holder of the reduced numerators of (t, r) built so far.
-
-    The slot is only ever rebound to a longer tuple, never mutated, so a
-    reader always sees a complete prefix; lru_cache bounds the keys.
-    """
-    return [(1,)]
-
-
-# held only to compare lengths and publish, never while numerators are built
-_publish_lock = threading.Lock()
-
-
-def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
-    """Reduced numerators g_j = c_{t+j} / t! for j = 0..min(j_max, (r-1)t).
+def _reduced_numerators(t: int, r: int) -> Iterator[int]:
+    """Reduced numerators g_j = c_{t+j} / t! for j = 0, 1, ..., (r-1)t, in order.
 
     c_m = m! [x^m] (x/1! + ... + x^r/r!)^t counts the labellings of m
     positions by 1..t that use every label between 1 and r times.  Permuting
@@ -115,45 +99,58 @@ def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
     (Knuth, TAOCP vol. 2, 4.7), applied to (x/1! + ... + x^r/r!)/x, cleared
     of denominators and divided by t!, gives g_0 = 1 and for j >= 1
         j r! g_j = sum_{i=1..min(j, r-1)} (ti - j + i) (t+j)_i (r!/(i+1)!) g_{j-i}
-    with (t+j)_i a falling factorial; the division is exact.  The values
-    are kept per (t, r) and extended only past the largest j asked so far.
+    with (t+j)_i a falling factorial; the division is exact.
     """
+    r_fact = factorial(r)
+    weights = [r_fact // factorial(i + 1) for i in range(r)]
+    g = [1]
+    yield 1
+    for j in range(1, (r - 1) * t + 1):
+        total, falling = 0, 1
+        for i in range(1, min(j, r - 1) + 1):
+            falling *= t + j - i + 1
+            total += (t * i - j + i) * falling * weights[i] * g[j - i]
+        g.append(total // (j * r_fact))
+        yield g[j]
+
+
+def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
+    """Reduced numerators g_j = c_{t+j} / t! for j = 0..min(j_max, (r-1)t), built afresh."""
     _validate_count_args(0, t, r)
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    top = min(j_max, (r - 1) * t)
-    cell = _reduced_cell(t, r)
-    g = cell[0]
-    if len(g) <= top:
-        r_fact = factorial(r)
-        weights = [r_fact // factorial(i + 1) for i in range(r)]
-        grown = list(g)  # a copy: other readers keep the published tuple
-        for j in range(len(g), top + 1):
-            total, falling = 0, 1
-            for i in range(1, min(j, r - 1) + 1):
-                falling *= t + j - i + 1
-                total += (t * i - j + i) * falling * weights[i] * grown[j - i]
-            grown.append(total // (j * r_fact))
-        g = tuple(grown)
-        with _publish_lock:  # another thread may have published a longer prefix
-            if len(g) > len(cell[0]):
-                cell[0] = g
-    return g[:top + 1]
+    return tuple(islice(_reduced_numerators(t, r), j_max + 1))
 
 
-def labelling_count_egf(n: int, t: int, r: int) -> int:
-    """Labelling count t! sum_j C(n, t+j) g_j over the reduced numerators g_j.
+def labelling_counter(t: int, r: int) -> Callable[[int], int]:
+    """count(n), the labelling count of length n for this (t, r), at any n in any order.
 
+    count(n) = t! sum_j C(n, t+j) g_j over the reduced numerators g_j.
     C(n, t+j) places the t+j positions with a nonzero label (the e^x factor
     of the series); each binomial comes from the one before by the exact
     step C(n, m+1) = C(n, m) (n-m) / (m+1), and only the numerators up to
-    j = n - t are read.
+    j = n - t are read.  The counter keeps its own numerators, extended only
+    past the largest n - t asked so far, so a search over many lengths
+    builds each numerator once; give each thread its own counter.
     """
-    _validate_count_args(n, t, r)
-    if n < t:
-        return 0  # some label has no position; no numerator is built
-    binom, total = comb(n, t), 0
-    for j, g in enumerate(reduced_numerators(t, r, n - t)):
-        total += binom * g
-        binom = binom * (n - t - j) // (t + j + 1)
-    return _factorial(t) * total
+    _validate_count_args(0, t, r)
+    numerators, g, t_fact = _reduced_numerators(t, r), [], factorial(t)
+
+    def count(n: int) -> int:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n < t:
+            return 0  # some label has no position; no numerator is built
+        g.extend(islice(numerators, max(0, n - t + 1 - len(g))))
+        binom, total = comb(n, t), 0
+        for j, gj in enumerate(islice(g, n - t + 1)):
+            total += binom * gj
+            binom = binom * (n - t - j) // (t + j + 1)
+        return t_fact * total
+
+    return count
+
+
+def labelling_count_egf(n: int, t: int, r: int) -> int:
+    """Labelling count of length n, from a counter built for this one call."""
+    return labelling_counter(t, r)(n)

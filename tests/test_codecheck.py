@@ -329,6 +329,22 @@ def test_verify_rejects_a_nan_time_budget():
     assert verify(simplex(2), 2, 2, budget_seconds=float("inf")).holds
 
 
+def test_verify_rejects_a_cap_that_is_not_an_int():
+    # r = 2.5 never equals a catalog size, so the sweep would grow sizes without end;
+    # the time budget only keeps a faulty check from hanging
+    with pytest.raises(ValueError, match="r must be an int"):
+        verify(simplex(3), 5, 2.5, budget_seconds=1)
+    with pytest.raises(ValueError, match="r must be an int"):
+        RecoveryCatalog(simplex(3), 2.5)
+
+
+@pytest.mark.parametrize("arg, value", [("t", 2.0), ("jobs", 1.5), ("budget_batches", 2.5)])
+def test_verify_rejects_counts_that_are_not_ints(arg, value):
+    kwargs = {"t": 4, "r": 2, "jobs": 1, "budget_batches": None, arg: value}
+    with pytest.raises(ValueError, match=f"{arg} must be an int"):
+        verify(simplex(3), **kwargs)
+
+
 def counted_levels(monkeypatch, on_build=lambda size: None):
     """Record the size of every _level call verify makes; on_build runs after each."""
     sizes = []

@@ -1,5 +1,3 @@
-import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
@@ -9,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcbatch import counting
+from funcbatch.bounds import min_n_exact
 from funcbatch.counting import (
     LabellingTable,
     labelling_count_direct,
     labelling_count_egf,
+    labelling_counter,
     reduced_numerators,
 )
 from oracles import (
@@ -206,7 +206,7 @@ def test_reduced_numerators_are_numerators_over_t_factorial():
 
 
 def fresh_reduced(t, r, j_max):
-    """Reduced numerators from the oracle's numerators, with no cache involved."""
+    """Reduced numerators divided out of the oracle's numerators."""
     return tuple(c // factorial(t) for c in egf_numerators(t, r, t + j_max))
 
 
@@ -218,81 +218,44 @@ def test_reduced_numerators_do_not_depend_on_call_order():
         "interleaved keys": keys,
     }
     for order in orders.values():
-        counting._reduced_cell.cache_clear()
         for t, r, j_max in order:
             assert reduced_numerators(t, r, j_max) == fresh_reduced(t, r, j_max)
             assert labelling_count_egf(t + j_max, t, r) == labelling_count_direct(t + j_max, t, r)
 
 
-def test_threads_growing_one_key_all_get_correct_values():
-    # more threads than cores, switching often, each growing the same (t, r),
-    # half upward and half downward
-    t, r, top = 40, 4, 120
-    expected = fresh_reduced(t, r, top)
-    counting._reduced_cell.cache_clear()
-    plans = [list(range(0, top + 1, 3)), list(range(top, -1, -7))] * 3
-    barrier = threading.Barrier(len(plans))
-    results = [None] * len(plans)
-
-    def grow(index):
-        barrier.wait(timeout=30)
-        results[index] = [reduced_numerators(t, r, j) for j in plans[index]]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=grow, args=(i,)) for i in range(len(plans))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for plan, got in zip(plans, results):
-        assert got == [expected[:j + 1] for j in plan]
-    assert counting._reduced_cell(t, r)[0] == expected
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 4), st.data())
+def test_one_counter_answers_lengths_in_any_order(t, r, data):
+    drawn = data.draw(st.lists(st.integers(0, r * t + 3), max_size=12))
+    # whatever was drawn, an ascent, a descent below t, repeats and the numerators' end
+    lengths = drawn + [0, r * t + 3, t // 2, r * t + 3, t, t]
+    count, table = labelling_counter(t, r), LabellingTable(r)
+    for n in lengths:
+        assert count(n) == table.count(n, t)
 
 
-def test_a_late_short_growth_keeps_the_longer_published_prefix(monkeypatch):
-    # one thread reads the 1-long prefix and is held inside its growth (at
-    # its first factorial call) while this thread grows the key to 121 and
-    # publishes; the held thread then finishes its 4-long prefix
-    t, r = 40, 4
-    counting._reduced_cell.cache_clear()
-    inside, release = threading.Event(), threading.Event()
-    real_factorial = counting.factorial
-
-    def held_factorial(x):
-        if threading.current_thread().name == "short":
-            inside.set()
-            release.wait(timeout=30)
-        return real_factorial(x)
-
-    monkeypatch.setattr(counting, "factorial", held_factorial)
-    short_result = []
-    short = threading.Thread(target=lambda: short_result.append(reduced_numerators(t, r, 3)),
-                             name="short")
-    short.start()
-    assert inside.wait(timeout=30)
-    longer = reduced_numerators(t, r, 120)
-    release.set()
-    short.join(timeout=30)
-    assert not short.is_alive()
-    assert short_result == [longer[:4]]
-    assert counting._reduced_cell(t, r)[0] == longer == fresh_reduced(t, r, 120)
+def test_counter_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        labelling_counter(-1, 2)
+    with pytest.raises(ValueError):
+        labelling_counter(3, 0)
+    count = labelling_counter(3, 2)
+    with pytest.raises(ValueError):
+        count(-1)
+    assert count(4) == LabellingTable(2).count(4, 3)
 
 
-def test_reduced_numerator_cache_is_bounded_and_answers_after_eviction():
-    bound = counting._reduced_cell.cache_info().maxsize
-    counting._reduced_cell.cache_clear()
-    first = reduced_numerators(5, 3, 10)
-    for t in range(6, 6 + bound + 5):
-        reduced_numerators(t, 2, 3)
-    info = counting._reduced_cell.cache_info()
-    assert info.currsize == bound
-    assert reduced_numerators(5, 3, 10) == first == fresh_reduced(5, 3, 10)
-    assert counting._reduced_cell.cache_info().misses == info.misses + 1
+def test_one_exact_search_builds_its_numerators_once(monkeypatch):
+    made = []
+    real = counting._reduced_numerators
+
+    def tracked(t, r):
+        made.append((t, r))
+        return real(t, r)
+
+    monkeypatch.setattr(counting, "_reduced_numerators", tracked)
+    assert min_n_exact(10, 1024, 2) == 1132
+    assert made == [(1024, 2)]
 
 
 def test_egf_count_matches_table_on_large_grid():
