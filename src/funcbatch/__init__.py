@@ -15,6 +15,22 @@ import importlib
 # which every launch loads, rather than in either engine
 MAX_DIMENSION = 24
 
+
+def check_int(name: str, value: object, lo: int, hi: int | None = None) -> None:
+    """Raise ValueError naming the argument unless value is an int in lo..hi (no top if hi is None).
+
+    Every engine checks its integer arguments here, so a float, a string or
+    None is rejected before it can reach a range() or a shift.
+    """
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if hi is not None:
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+    elif value < lo:
+        bound = {1: "positive", 0: "nonnegative"}.get(lo, f"at least {lo}")
+        raise ValueError(f"{name} must be {bound}")
+
 # the bound names; the CLI parser reads them without loading the bound solvers
 BOUND_IDS = ("exact", "product", "amgm", "chain", "sqrt", "baseline")
 
@@ -23,7 +39,7 @@ BOUND_IDS = ("exact", "product", "amgm", "chain", "sqrt", "baseline")
 _EXPORTS = {
     "bounds": (
         "AMGM", "BASELINE", "BOUND_IDS", "CHAIN", "EXACT", "PRODUCT", "SQRT",
-        "BoundOutcome", "CodeParams", "chain_bound_table", "construction_length",
+        "BoundOutcome", "chain_bound_table", "construction_length",
         "min_n", "min_n_exact", "necessary_condition", "r2_comparison_table",
     ),
     "codecheck": (

@@ -5,7 +5,9 @@ gallop-and-bisect search over an inequality cleared of denominators, in
 exact integer arithmetic throughout.  A raw value below the bound's
 applicability floor is clamped to the floor; an outcome is marked vacuous
 whenever some length below the floor survives the exact counting condition,
-since the bound then certifies no unconditional minimum.
+since the bound then certifies no unconditional minimum.  The solvers take
+k in 1..MAX_DIMENSION and positive t and r; every integer argument is
+checked by funcbatch.check_int, which raises ValueError naming a bad one.
 """
 
 from __future__ import annotations
@@ -13,30 +15,16 @@ from __future__ import annotations
 from math import factorial
 from typing import Callable, NamedTuple, Optional
 
-from funcbatch import BOUND_IDS, MAX_DIMENSION
+from funcbatch import BOUND_IDS, MAX_DIMENSION, check_int
 
 EXACT, PRODUCT, AMGM, CHAIN, SQRT, BASELINE = BOUND_IDS
 
 
-class _CodeParamsFields(NamedTuple):
-    k: int
-    t: int
-    r: int
-
-
-class CodeParams(_CodeParamsFields):
-    """Parameter bundle: dimension k, batch size t, recovery-set cap r."""
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, t: int, r: int) -> "CodeParams":
-        if not 1 <= k <= MAX_DIMENSION:
-            raise ValueError(f"k must be in 1..{MAX_DIMENSION}, got {k}")
-        if t < 1:
-            raise ValueError("t must be positive")
-        if r < 1:
-            raise ValueError("r must be positive")
-        return super().__new__(cls, k, t, r)
+def _check_code(k: int, t: int, r: int) -> None:
+    """Raise ValueError unless k is in 1..MAX_DIMENSION and t and r are positive ints."""
+    check_int("k", k, 1, MAX_DIMENSION)
+    check_int("t", t, 1)
+    check_int("r", r, 1)
 
 
 class _BoundOutcomeFields(NamedTuple):
@@ -85,9 +73,8 @@ def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
     # test this condition, and so a minn launch that solves either skips it
     from funcbatch.counting import labelling_count_egf
 
-    CodeParams(k, t, r)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_code(k, t, r)
+    check_int("n", n, 0)
     return labelling_count_egf(n, t, r) >= ((1 << k) - 1) ** t
 
 
@@ -113,7 +100,7 @@ def min_n_exact(k: int, t: int, r: int) -> int:
     """Smallest length passing the exact counting condition; every probe reads one counter."""
     from funcbatch.counting import labelling_counter
 
-    CodeParams(k, t, r)
+    _check_code(k, t, r)
     count, rhs = labelling_counter(t, r), ((1 << k) - 1) ** t
     return _first_true(lambda n: count(n) >= rhs, lo=t)
 
@@ -165,7 +152,7 @@ def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
         raise ValueError(f"no closed-form bound {bound_id!r}")
     spec = _SPECS[bound_id]
     r = r if spec.cap is None else spec.cap
-    CodeParams(k, t, r)
+    _check_code(k, t, r)
     rhs = spec.rhs((1 << k) - 1, t, r)
     raw = _first_true(lambda n: spec.lhs(n, t, r) >= rhs, spec.start(t))
     floor = spec.floor(t, r)
@@ -185,8 +172,7 @@ def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
 
 def construction_length(k: int) -> int:
     """Length 2^(k+1) - 2 achieved by doubling the simplex generator columns."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    check_int("k", k, 1)
     return (1 << (k + 1)) - 2
 
 
@@ -207,8 +193,7 @@ def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     reduced numerators are built once up to the largest length tested, and
     no t-by-n table, so k = 12 (t = 4096) takes well under a second.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
+    check_int("k_max", k_max, 2)
     rows = []
     for k in range(2, k_max + 1):
         t = 1 << k

@@ -36,12 +36,14 @@ class MatrixFormatError(ValueError):
 def parse_matrix(text: str) -> GeneratorMatrix:
     """Parse the text matrix format: a 'k n' header, then k rows of n 0/1 digits.
 
-    Lines starting with '#' and blank lines are skipped.
+    Lines starting with '#' and blank lines are skipped.  Row i supplies bit
+    i of each column.
     """
     from funcbatch.gf2 import GeneratorMatrix
 
     header: Optional[tuple[int, int]] = None
-    rows: list[list[int]] = []
+    cols: list[int] = []
+    row = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -58,30 +60,31 @@ def parse_matrix(text: str) -> GeneratorMatrix:
                 raise MatrixFormatError("k and n must be positive", line_no)
             header = (k, n)
             continue
-        if len(rows) == header[0]:
+        if row == header[0]:
             raise MatrixFormatError("unexpected extra row", line_no)
         if len(parts) != header[1]:
             raise MatrixFormatError(f"expected {header[1]} entries, got {len(parts)}", line_no)
-        row = []
-        for p in parts:
+        if row == 0:
+            cols = [0] * header[1]  # sized at the first row, never by a header alone
+        for j, p in enumerate(parts):
             if p not in ("0", "1"):
                 raise MatrixFormatError(f"entries must be 0 or 1, got {p!r}", line_no)
-            row.append(int(p))
-        rows.append(row)
+            cols[j] |= (p == "1") << row
+        row += 1
     if header is None:
         raise MatrixFormatError("missing 'k n' header")
-    if len(rows) != header[0]:
-        raise MatrixFormatError(f"expected {header[0]} rows, got {len(rows)}")
+    if row != header[0]:
+        raise MatrixFormatError(f"expected {header[0]} rows, got {row}")
     try:
-        return GeneratorMatrix.from_rows(rows)
+        return GeneratorMatrix(header[0], cols)
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from None
 
 
 def format_matrix(matrix: GeneratorMatrix) -> str:
+    """The text matrix format of parse_matrix: row i holds bit i of each column."""
     lines = [f"{matrix.k} {matrix.n}"]
-    for row in matrix.rows():
-        lines.append(" ".join(str(b) for b in row))
+    lines += [" ".join(str(c >> i & 1) for c in matrix.cols) for i in range(matrix.k)]
     return "\n".join(lines) + "\n"
 
 

@@ -41,6 +41,7 @@ from itertools import combinations, combinations_with_replacement, islice
 from math import comb, isnan
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
+from funcbatch import check_int
 from funcbatch.gf2 import GeneratorMatrix
 
 HOLDS = "holds"
@@ -48,25 +49,15 @@ FAILS = "fails"
 UNDECIDED = "undecided"
 
 
-def _check_count(name: str, value: object, positive: bool = True) -> None:
-    """Raise ValueError unless value is an int that is positive, or nonnegative if not positive."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < (1 if positive else 0):
-        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
-
-
 def simplex(k: int) -> GeneratorMatrix:
     """Generator whose columns are all nonzero k-bit vectors in increasing integer order."""
-    if not 1 <= k <= 7:
-        raise ValueError(f"k must be in 1..7, got {k}")
+    check_int("k", k, 1, 7)
     return GeneratorMatrix(k, tuple(range(1, 1 << k)))
 
 
 def double_simplex(k: int) -> GeneratorMatrix:
     """Simplex generator concatenated with itself; length 2^(k+1) - 2."""
-    if not 1 <= k <= 6:
-        raise ValueError(f"k must be in 1..6, got {k}")
+    check_int("k", k, 1, 6)
     cols = tuple(range(1, 1 << k))
     return GeneratorMatrix(k, cols + cols)
 
@@ -117,7 +108,7 @@ class RecoveryCatalog:
     """
 
     def __init__(self, matrix: GeneratorMatrix, r: int) -> None:
-        _check_count("r", r)
+        check_int("r", r, 1)
         self._matrix = matrix
         self.k = matrix.k
         self.n = matrix.n
@@ -163,8 +154,8 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
     every 256 search nodes, and TimeoutError is raised once it has passed.
     """
     for w in batch:
-        if not 1 <= w < 1 << catalog.k:
-            raise ValueError(f"query {w} is not a nonzero {catalog.k}-bit vector")
+        if not isinstance(w, int) or not 1 <= w < 1 << catalog.k:
+            raise ValueError(f"query {w!r} is not a nonzero {catalog.k}-bit vector")
     while catalog.size < catalog.depth:
         catalog.grow()
     cands = [catalog.sets.get(w, ()) for w in batch]
@@ -494,14 +485,14 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     as at jobs=1; otherwise the failure of least rank found past it, if
     any, is the counterexample.
     """
-    _check_count("t", t)
-    _check_count("jobs", jobs)
+    check_int("t", t, 1)
+    check_int("jobs", jobs, 1)
     if budget_seconds is not None and isnan(budget_seconds):
         raise ValueError("budget_seconds must not be NaN")
     if budget_seconds is not None and budget_seconds < 0:
         raise ValueError("budget_seconds must be nonnegative")
     if budget_batches is not None:
-        _check_count("budget_batches", budget_batches, positive=False)
+        check_int("budget_batches", budget_batches, 0)
     start_time = time.monotonic()
     deadline = start_time + budget_seconds if budget_seconds is not None else None
     catalog = RecoveryCatalog(matrix, r)

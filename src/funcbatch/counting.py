@@ -9,7 +9,9 @@ counter for its whole search, and labelling_count_egf, which the CLI's count
 reads, builds one per call.  No state is shared between calls.  Direct
 summation and the memoized recursion of LabellingTable are kept only as the
 tests' references.  The closed-form ceilings on the count are stated once,
-as the bound inequalities of bounds._SPECS.
+as the bound inequalities of bounds._SPECS.  Every entry point, the counter
+returned included, checks its integer arguments with funcbatch.check_int:
+n, t and j_max nonnegative ints, r a positive int.
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterator
 
-
-def _validate_count_args(n: int, t: int, r: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if r < 1:
-        raise ValueError("r must be positive")
+from funcbatch import check_int
 
 
 def labelling_count_direct(n: int, t: int, r: int) -> int:
@@ -35,7 +30,9 @@ def labelling_count_direct(n: int, t: int, r: int) -> int:
     [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; a slow reference
     for the tests, next to LabellingTable.
     """
-    _validate_count_args(n, t, r)
+    check_int("n", n, 0)
+    check_int("t", t, 0)
+    check_int("r", r, 1)
     if t == 0:
         return 1
     n_fact = factorial(n)
@@ -66,13 +63,13 @@ class LabellingTable:
     """
 
     def __init__(self, r: int) -> None:
-        if r < 1:
-            raise ValueError("r must be positive")
+        check_int("r", r, 1)
         self.r = r
         self._rows: dict[int, list[int]] = {0: [1]}
 
     def count(self, n: int, t: int) -> int:
-        _validate_count_args(n, t, self.r)
+        check_int("n", n, 0)
+        check_int("t", t, 0)
         row0 = self._rows[0]
         while len(row0) <= n:
             row0.append(1)
@@ -116,9 +113,9 @@ def _reduced_numerators(t: int, r: int) -> Iterator[int]:
 
 def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
     """Reduced numerators g_j = c_{t+j} / t! for j = 0..min(j_max, (r-1)t), built afresh."""
-    _validate_count_args(0, t, r)
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
+    check_int("t", t, 0)
+    check_int("r", r, 1)
+    check_int("j_max", j_max, 0)
     return tuple(islice(_reduced_numerators(t, r), j_max + 1))
 
 
@@ -133,12 +130,12 @@ def labelling_counter(t: int, r: int) -> Callable[[int], int]:
     past the largest n - t asked so far, so a search over many lengths
     builds each numerator once; give each thread its own counter.
     """
-    _validate_count_args(0, t, r)
+    check_int("t", t, 0)
+    check_int("r", r, 1)
     numerators, g, t_fact = _reduced_numerators(t, r), [], factorial(t)
 
     def count(n: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        check_int("n", n, 0)
         if n < t:
             return 0  # some label has no position; no numerator is built
         g.extend(islice(numerators, max(0, n - t + 1 - len(g))))

@@ -1,14 +1,16 @@
 """GF(2) generator matrices stored as packed column words, and column-set rank.
 
 A vector in GF(2)^k is an int whose bit i holds coordinate i+1; a set of
-columns is an int mask whose bit j selects column j.
+columns is an int mask whose bit j selects column j.  A matrix checks its
+dimension and length with funcbatch.check_int, and that each column is an
+int that fits the dimension; rank, that its mask is an int within the length.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from funcbatch import MAX_DIMENSION
+from funcbatch import MAX_DIMENSION, check_int
 
 MAX_LENGTH = 128
 
@@ -29,13 +31,11 @@ class GeneratorMatrix(_GeneratorMatrixFields):
     __slots__ = ()
 
     def __new__(cls, k: int, cols: Iterable[int]) -> "GeneratorMatrix":
-        if not 1 <= k <= MAX_DIMENSION:
-            raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {k}")
+        check_int("dimension", k, 1, MAX_DIMENSION)
         cols = tuple(cols)
-        if not 1 <= len(cols) <= MAX_LENGTH:
-            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {len(cols)}")
+        check_int("length", len(cols), 1, MAX_LENGTH)
         for j, c in enumerate(cols):
-            if not 0 <= c < (1 << k):
+            if not isinstance(c, int) or not 0 <= c < (1 << k):
                 raise ValueError(f"column {j} does not fit dimension {k}")
         return super().__new__(cls, k, cols)
 
@@ -43,30 +43,10 @@ class GeneratorMatrix(_GeneratorMatrixFields):
     def n(self) -> int:
         return len(self.cols)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GeneratorMatrix":
-        """Build from k row vectors of 0/1 entries (row i supplies bit i of each column)."""
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError("all rows must have the same length")
-        n = widths.pop()
-        cols = [0] * n
-        for i, row in enumerate(rows):
-            for j, b in enumerate(row):
-                if b not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {b!r}")
-                cols[j] |= b << i
-        return cls(len(rows), tuple(cols))
-
-    def rows(self) -> list[list[int]]:
-        return [[(c >> i) & 1 for c in self.cols] for i in range(self.k)]
-
 
 def rank(matrix: GeneratorMatrix, col_mask: int) -> int:
     """Rank over GF(2) of the columns selected by col_mask."""
-    if not 0 <= col_mask < (1 << matrix.n):
+    if not isinstance(col_mask, int) or not 0 <= col_mask < (1 << matrix.n):
         raise ValueError("column mask selects positions outside the matrix")
     basis: dict[int, int] = {}  # reduced word keyed by its leading bit
     for j, word in enumerate(matrix.cols):

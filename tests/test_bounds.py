@@ -1,4 +1,5 @@
 import random
+import re
 from math import factorial, perm
 
 import pytest
@@ -11,7 +12,6 @@ from funcbatch.bounds import (
     PRODUCT,
     SQRT,
     BoundOutcome,
-    CodeParams,
     chain_bound_table,
     construction_length,
     min_n,
@@ -48,15 +48,16 @@ def baseline_cert(n, k, t):
 
 
 def test_code_params_validation():
-    CodeParams(24, 1, 1)
-    with pytest.raises(ValueError):
-        CodeParams(0, 1, 1)
-    with pytest.raises(ValueError):
-        CodeParams(25, 1, 1)
-    with pytest.raises(ValueError):
-        CodeParams(3, 0, 1)
-    with pytest.raises(ValueError):
-        CodeParams(3, 1, 0)
+    # k in 1..24, t and r positive: every solver checks the code parameters alike
+    for solve in (lambda k, t, r: min_n(CHAIN, k, t, r), min_n_exact,
+                  lambda k, t, r: necessary_condition(40, k, t, r)):
+        solve(24, 1, 1)
+        for (k, t, r), message in [((0, 1, 1), "k must be in 1..24, got 0"),
+                                   ((25, 1, 1), "k must be in 1..24, got 25"),
+                                   ((3, 0, 1), "t must be positive"),
+                                   ((3, 1, 0), "r must be positive")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                solve(k, t, r)
 
 
 def test_bound_outcome_invariant():

@@ -48,7 +48,7 @@ def test_simplex_columns_are_all_nonzero_vectors():
 
 
 def test_simplex_k2_is_the_worked_example_matrix():
-    assert simplex(2).rows() == [[1, 0, 1], [0, 1, 1]]
+    assert format_matrix(simplex(2)) == "2 3\n1 0 1\n0 1 1\n"
 
 
 def test_simplex_k1():
@@ -192,6 +192,11 @@ def test_assignment_validates_queries():
         find_disjoint_assignment(cat, (0, 1))
     with pytest.raises(ValueError):
         find_disjoint_assignment(cat, (4,))
+    # a query that is not an int is not a vector, even one equal to a valid query
+    with pytest.raises(ValueError, match=r"^query 2\.5 is not a nonzero 2-bit vector$"):
+        find_disjoint_assignment(cat, (2.5,))
+    with pytest.raises(ValueError, match=r"^query 2\.0 is not a nonzero 2-bit vector$"):
+        find_disjoint_assignment(cat, (1, 2.0))
 
 
 def test_verify_worked_example_rows():

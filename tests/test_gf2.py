@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from funcbatch.cli import MatrixFormatError, format_matrix, parse_matrix
 from funcbatch.gf2 import GeneratorMatrix, rank
 from oracles import in_span
 
-EXAMPLE = GeneratorMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+EXAMPLE = GeneratorMatrix(2, (1, 2, 3))  # rows 1 0 1 and 0 1 1
 SIMPLEX3 = GeneratorMatrix(3, tuple(range(1, 8)))
 
 
@@ -18,12 +19,13 @@ def test_matrix_validation():
         GeneratorMatrix(2, (4,))
     with pytest.raises(ValueError):
         GeneratorMatrix(2, tuple([1] * 129))
-    with pytest.raises(ValueError):
-        GeneratorMatrix.from_rows([[1, 0], [1]])
-    with pytest.raises(ValueError):
-        GeneratorMatrix.from_rows([])
-    with pytest.raises(ValueError):
-        GeneratorMatrix.from_rows([[1, 2]])
+    # the text format is the one way in by rows: ragged rows, no rows, entry 2
+    with pytest.raises(MatrixFormatError, match="^line 3: expected 2 entries, got 1$"):
+        parse_matrix("2 2\n1 0\n1\n")
+    with pytest.raises(MatrixFormatError, match="^expected 2 rows, got 0$"):
+        parse_matrix("2 2\n")
+    with pytest.raises(MatrixFormatError, match="^line 2: entries must be 0 or 1, got '2'$"):
+        parse_matrix("1 2\n1 2\n")
 
 
 def test_rank_rejects_a_mask_past_the_length():
@@ -32,10 +34,10 @@ def test_rank_rejects_a_mask_past_the_length():
 
 
 def test_matrix_rows_round_trip():
-    rows = [[1, 0, 1, 1], [0, 1, 1, 0]]
-    m = GeneratorMatrix.from_rows(rows)
-    assert m.rows() == rows
-    assert m.cols[2] == 0b11
+    text = "2 4\n1 0 1 1\n0 1 1 0\n"
+    m = parse_matrix(text)
+    assert format_matrix(m) == text
+    assert m.cols == (0b01, 0b10, 0b11, 0b01)  # row i is bit i of each column
     assert m.n == 4
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from funcbatch import bounds
-from funcbatch.bounds import CHAIN, BoundOutcome, CodeParams, min_n
+from funcbatch.bounds import CHAIN, BoundOutcome, min_n
 from funcbatch.codecheck import HOLDS, Verdict
 from funcbatch.gf2 import GeneratorMatrix
 
@@ -13,7 +13,6 @@ def records():
     return [
         GeneratorMatrix(2, (1, 2, 3)),
         Verdict(HOLDS, None, 12, 0.5, 3),
-        CodeParams(3, 4, 2),
         min_n(CHAIN, 5, 2, 2),
         bounds._SPECS[CHAIN],
         bounds.r2_comparison_table(2)[0],
@@ -57,7 +56,6 @@ def test_matrix_from_a_list_equals_one_from_a_tuple():
 @pytest.mark.parametrize("build", [
     lambda: GeneratorMatrix(2, [4]),
     lambda: GeneratorMatrix(k=0, cols=(1,)),
-    lambda: CodeParams(k=3, t=0, r=1),
     lambda: BoundOutcome(bound_id="chain", min_n=4, raw_min_n=4, applicability_floor=5,
                          clamped=True, vacuous=False, rhs=1),
 ])
