@@ -46,10 +46,8 @@ _EXPORTS = {
         "RecoveryCatalog", "Verdict", "build_catalog", "double_simplex",
         "find_disjoint_assignment", "simplex", "verify",
     ),
-    "counting": (
-        "LabellingTable", "labelling_count_direct", "labelling_count_egf",
-    ),
-    "gf2": ("GeneratorMatrix", "rank"),
+    "counting": ("labelling_count_egf",),
+    "gf2": ("GeneratorMatrix",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

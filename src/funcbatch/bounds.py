@@ -27,41 +27,31 @@ def _check_code(k: int, t: int, r: int) -> None:
     check_int("r", r, 1)
 
 
-class _BoundOutcomeFields(NamedTuple):
+class BoundOutcome(NamedTuple):
+    """Result of a minimal-length solver.
+
+    raw_min_n is the uncapped solution of the bound inequality, and rhs the
+    exact threshold of the certified integer comparison.  The reported
+    minimum min_n is raw_min_n raised to the applicability floor; clamped
+    means the raw value sat below that floor.  vacuous means some length
+    below the floor still passes the exact counting condition; since the
+    bound only speaks about lengths at or above its floor, such an outcome
+    certifies no unconditional minimum and renders as '-'.
+    """
+
     bound_id: str
-    min_n: int
     raw_min_n: int
     applicability_floor: int
-    clamped: bool
     vacuous: bool
     rhs: int
 
-
-class BoundOutcome(_BoundOutcomeFields):
-    """Result of a minimal-length solver.
-
-    min_n is the reported minimum, raw_min_n the uncapped solution of the
-    bound inequality, and rhs the exact threshold of the certified integer
-    comparison.  clamped means the raw value sat below the applicability
-    floor.  vacuous means some length below the floor still passes the
-    exact counting condition; since the bound only speaks about lengths at
-    or above its floor, such an outcome certifies no unconditional minimum
-    and renders as '-'.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, bound_id: str, min_n: int, raw_min_n: int, applicability_floor: int,
-                clamped: bool, vacuous: bool, rhs: int) -> "BoundOutcome":
-        if clamped and min_n < applicability_floor:
-            raise ValueError("clamped outcome below its applicability floor")
-        return super().__new__(cls, bound_id, min_n, raw_min_n, applicability_floor,
-                               clamped, vacuous, rhs)
+    @property
+    def min_n(self) -> int:
+        return max(self.raw_min_n, self.applicability_floor)
 
     @property
-    def table_value(self) -> Optional[int]:
-        """Cell value for table emission: None renders as the vacuous marker."""
-        return None if self.vacuous else self.min_n
+    def clamped(self) -> bool:
+        return self.raw_min_n < self.applicability_floor
 
 
 def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
@@ -159,15 +149,8 @@ def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
     # the outcome is an unconditional bound only when every length below
     # the applicability floor already fails the exact counting condition
     vacuous = floor > 1 and necessary_condition(floor - 1, k, t, r)
-    return BoundOutcome(
-        bound_id=bound_id,
-        min_n=max(raw, floor),
-        raw_min_n=raw,
-        applicability_floor=floor,
-        clamped=raw < floor,
-        vacuous=vacuous,
-        rhs=rhs,
-    )
+    return BoundOutcome(bound_id, raw_min_n=raw, applicability_floor=floor,
+                        vacuous=vacuous, rhs=rhs)
 
 
 def construction_length(k: int) -> int:
@@ -194,6 +177,9 @@ def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
     no t-by-n table, so k = 12 (t = 4096) takes well under a second.
     """
     check_int("k_max", k_max, 2)
+    # checked before any row is solved, not by min_n_exact at the last row
+    if k_max > MAX_DIMENSION:
+        raise ValueError(f"k_max must be at most {MAX_DIMENSION}, got {k_max}")
     rows = []
     for k in range(2, k_max + 1):
         t = 1 << k

@@ -487,10 +487,13 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     """
     check_int("t", t, 1)
     check_int("jobs", jobs, 1)
-    if budget_seconds is not None and isnan(budget_seconds):
-        raise ValueError("budget_seconds must not be NaN")
-    if budget_seconds is not None and budget_seconds < 0:
-        raise ValueError("budget_seconds must be nonnegative")
+    if budget_seconds is not None:
+        if not isinstance(budget_seconds, (int, float)):
+            raise ValueError(f"budget_seconds must be an int or a float, got {budget_seconds!r}")
+        if isnan(budget_seconds):
+            raise ValueError("budget_seconds must not be NaN")
+        if budget_seconds < 0:
+            raise ValueError("budget_seconds must be nonnegative")
     if budget_batches is not None:
         check_int("budget_batches", budget_batches, 0)
     start_time = time.monotonic()

@@ -6,12 +6,11 @@ r times.  labelling_counter computes it, in integers throughout, from the
 series numerators divided by t!, which each counter builds for itself only
 as far as the lengths asked of it; the exact counting bound keeps one
 counter for its whole search, and labelling_count_egf, which the CLI's count
-reads, builds one per call.  No state is shared between calls.  Direct
-summation and the memoized recursion of LabellingTable are kept only as the
-tests' references.  The closed-form ceilings on the count are stated once,
-as the bound inequalities of bounds._SPECS.  Every entry point, the counter
-returned included, checks its integer arguments with funcbatch.check_int:
-n, t and j_max nonnegative ints, r a positive int.
+reads, builds one per call.  No state is shared between calls.  The
+closed-form ceilings on the count are stated once, as the bound
+inequalities of bounds._SPECS.  Every entry point, the counter returned
+included, checks its integer arguments with funcbatch.check_int: n and t
+nonnegative ints, r a positive int.
 """
 
 from __future__ import annotations
@@ -23,35 +22,6 @@ from typing import Callable, Iterator
 from funcbatch import check_int
 
 
-def labelling_count_direct(n: int, t: int, r: int) -> int:
-    """Labelling count by direct summation over label-multiplicity vectors.
-
-    Sums multinomial(n; n-s, i_1, ..., i_t) over all (i_1, ..., i_t) in
-    [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; a slow reference
-    for the tests, next to LabellingTable.
-    """
-    check_int("n", n, 0)
-    check_int("t", t, 0)
-    check_int("r", r, 1)
-    if t == 0:
-        return 1
-    n_fact = factorial(n)
-    total = 0
-
-    def walk(pos: int, used: int, denom: int) -> None:
-        nonlocal total
-        if pos == t:
-            total += n_fact // (denom * factorial(n - used))
-            return
-        # each remaining label still needs at least one position
-        cap = min(r, n - used - (t - pos - 1))
-        for i in range(1, cap + 1):
-            walk(pos + 1, used + i, denom * factorial(i))
-
-    walk(0, 0, 1)
-    return total
-
-
 class LabellingTable:
     """Memoized (t, n) table of labelling counts for a fixed per-label cap r.
 
@@ -59,7 +29,9 @@ class LabellingTable:
         count(n, t) = sum_{i=1..min(r,n)} C(n, i) * count(n-i, t-1),
     with count(n, 0) = 1.  Rows extend lazily; memory is O(t * n) integers.
     Not safe for concurrent writers; give each worker its own table.  No
-    engine uses it: it is the tests' reference for labelling_count_egf.
+    engine uses it: it is the tests' reference for labelling_count_egf, and
+    it stays here only because bench/tracer.py wraps LabellingTable.count
+    by name, until the benchmark drops that metric (ROADMAP item 1).
     """
 
     def __init__(self, r: int) -> None:
@@ -109,14 +81,6 @@ def _reduced_numerators(t: int, r: int) -> Iterator[int]:
             total += (t * i - j + i) * falling * weights[i] * g[j - i]
         g.append(total // (j * r_fact))
         yield g[j]
-
-
-def reduced_numerators(t: int, r: int, j_max: int) -> tuple[int, ...]:
-    """Reduced numerators g_j = c_{t+j} / t! for j = 0..min(j_max, (r-1)t), built afresh."""
-    check_int("t", t, 0)
-    check_int("r", r, 1)
-    check_int("j_max", j_max, 0)
-    return tuple(islice(_reduced_numerators(t, r), j_max + 1))
 
 
 def labelling_counter(t: int, r: int) -> Callable[[int], int]:

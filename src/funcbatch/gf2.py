@@ -45,7 +45,11 @@ class GeneratorMatrix(_GeneratorMatrixFields):
 
 
 def rank(matrix: GeneratorMatrix, col_mask: int) -> int:
-    """Rank over GF(2) of the columns selected by col_mask."""
+    """Rank over GF(2) of the columns selected by col_mask.
+
+    No engine calls it: it stays only because bench/tracer.py wraps it by
+    name, until the benchmark drops that metric (ROADMAP item 1).
+    """
     if not isinstance(col_mask, int) or not 0 <= col_mask < (1 << matrix.n):
         raise ValueError("column mask selects positions outside the matrix")
     basis: dict[int, int] = {}  # reduced word keyed by its leading bit

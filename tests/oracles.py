@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial, perm
 
+from funcbatch import check_int
+
 
 def in_span(matrix, col_mask, alpha):
     """True iff the nonzero query alpha is a GF(2) combination of the columns col_mask selects."""
@@ -26,6 +28,35 @@ def brute_force_count(n, t, r):
         tally = Counter(labels)
         if all(1 <= tally.get(l, 0) <= r for l in range(1, t + 1)):
             total += 1
+    return total
+
+
+def labelling_count_direct(n: int, t: int, r: int) -> int:
+    """Labelling count by direct summation over label-multiplicity vectors.
+
+    Sums multinomial(n; n-s, i_1, ..., i_t) over all (i_1, ..., i_t) in
+    [1, r]^t with s = sum(i) <= n.  Cost grows like r^t; a slow reference
+    for the tests, next to LabellingTable.
+    """
+    check_int("n", n, 0)
+    check_int("t", t, 0)
+    check_int("r", r, 1)
+    if t == 0:
+        return 1
+    n_fact = factorial(n)
+    total = 0
+
+    def walk(pos: int, used: int, denom: int) -> None:
+        nonlocal total
+        if pos == t:
+            total += n_fact // (denom * factorial(n - used))
+            return
+        # each remaining label still needs at least one position
+        cap = min(r, n - used - (t - pos - 1))
+        for i in range(1, cap + 1):
+            walk(pos + 1, used + i, denom * factorial(i))
+
+    walk(0, 0, 1)
     return total
 
 

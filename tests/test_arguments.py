@@ -23,13 +23,7 @@ from funcbatch.codecheck import (
     simplex,
     verify,
 )
-from funcbatch.counting import (
-    LabellingTable,
-    labelling_count_direct,
-    labelling_count_egf,
-    labelling_counter,
-    reduced_numerators,
-)
+from funcbatch.counting import LabellingTable, labelling_count_egf, labelling_counter
 from funcbatch.gf2 import GeneratorMatrix, rank
 
 
@@ -59,22 +53,11 @@ CASES = [
      "r must be positive"),
     ("construction_length", "k", construction_length, 0, "k must be positive"),
     ("r2_comparison_table", "k_max", r2_comparison_table, 1, "k_max must be at least 2"),
-    ("labelling_count_direct", "n", lambda v: labelling_count_direct(v, 2, 2), -1,
-     "n must be nonnegative"),
-    ("labelling_count_direct", "t", lambda v: labelling_count_direct(5, v, 2), -1,
-     "t must be nonnegative"),
-    ("labelling_count_direct", "r", lambda v: labelling_count_direct(5, 2, v), 0,
-     "r must be positive"),
     ("LabellingTable", "r", LabellingTable, 0, "r must be positive"),
     ("LabellingTable.count", "n", lambda v: LabellingTable(2).count(v, 2), -1,
      "n must be nonnegative"),
     ("LabellingTable.count", "t", lambda v: LabellingTable(2).count(5, v), -1,
      "t must be nonnegative"),
-    ("reduced_numerators", "t", lambda v: reduced_numerators(v, 2, 3), -1,
-     "t must be nonnegative"),
-    ("reduced_numerators", "r", lambda v: reduced_numerators(2, v, 3), 0, "r must be positive"),
-    ("reduced_numerators", "j_max", lambda v: reduced_numerators(2, 2, v), -1,
-     "j_max must be nonnegative"),
     ("labelling_counter", "t", lambda v: labelling_counter(v, 2), -1, "t must be nonnegative"),
     ("labelling_counter", "r", lambda v: labelling_counter(2, v), 0, "r must be positive"),
     ("count", "n", lambda v: labelling_counter(2, 2)(v), -1, "n must be nonnegative"),

@@ -4,6 +4,7 @@ from math import factorial, perm
 
 import pytest
 
+from funcbatch import bounds
 from funcbatch.bounds import (
     AMGM,
     BASELINE,
@@ -11,7 +12,6 @@ from funcbatch.bounds import (
     EXACT,
     PRODUCT,
     SQRT,
-    BoundOutcome,
     chain_bound_table,
     construction_length,
     min_n,
@@ -58,11 +58,6 @@ def test_code_params_validation():
                                    ((3, 1, 0), "r must be positive")]:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 solve(k, t, r)
-
-
-def test_bound_outcome_invariant():
-    with pytest.raises(ValueError):
-        BoundOutcome("chain", 4, 4, 5, True, False, 1)
 
 
 def test_necessary_condition_fixtures():
@@ -253,16 +248,24 @@ def test_r2_comparison_rows():
         assert r.sqrt_min <= r.exact_min <= r.construction
 
 
-def test_r2_comparison_rejects_tiny_kmax():
+def test_r2_comparison_rejects_tiny_kmax(monkeypatch):
     with pytest.raises(ValueError):
         r2_comparison_table(1)
+
+    # k_max = 25 must be rejected before any row is solved: rows k = 2..24 take hours
+    def solve(k, t, r):
+        raise AssertionError(f"row k={k} solved before k_max was checked")
+
+    monkeypatch.setattr(bounds, "min_n_exact", solve)
+    with pytest.raises(ValueError, match="k_max"):
+        r2_comparison_table(25)
 
 
 def test_chain_table_cells():
     rows = chain_bound_table()
     cells = {}
     for row in rows:
-        cells[row.k] = (row.baseline_min,) + tuple(o.table_value for o in row.cells)
+        cells[row.k] = (row.baseline_min,) + tuple(None if o.vacuous else o.min_n for o in row.cells)
     assert cells[5] == (7, 7, 6, 6, None)
     assert cells[6] == (8, 9, 7, 8, None)
     assert cells[7] == (9, 13, 8, 9, 9)

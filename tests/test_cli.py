@@ -23,8 +23,9 @@ from funcbatch.cli import (
     parse_matrix,
 )
 from funcbatch.codecheck import double_simplex, simplex
-from funcbatch.counting import LabellingTable, labelling_count_direct, labelling_count_egf
+from funcbatch.counting import LabellingTable, labelling_count_egf
 from funcbatch.gf2 import GeneratorMatrix
+from oracles import labelling_count_direct
 from test_fanout import fixed_workers
 
 SRC = str(Path(funcbatch.__file__).resolve().parents[1])

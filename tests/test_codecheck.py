@@ -331,6 +331,10 @@ def test_verify_rejects_a_nan_time_budget():
     # time.monotonic() > nan is never true, so it would be no budget at all
     with pytest.raises(ValueError, match="NaN"):
         verify(simplex(2), 2, 2, budget_seconds=float("nan"))
+    # neither reaches isnan, which would raise TypeError
+    for bad in ("1", [1]):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            verify(simplex(2), 2, 2, budget_seconds=bad)
     assert verify(simplex(2), 2, 2, budget_seconds=float("inf")).holds
 
 
