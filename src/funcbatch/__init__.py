@@ -38,7 +38,7 @@ BOUND_IDS = ("exact", "product", "amgm", "chain", "sqrt", "baseline")
 # imported on first access (PEP 562), so a launch loads only the engines it uses
 _EXPORTS = {
     "bounds": (
-        "AMGM", "BASELINE", "BOUND_IDS", "CHAIN", "EXACT", "PRODUCT", "SQRT",
+        "AMGM", "BASELINE", "BOUND_IDS", "CHAIN", "EXACT", "FIXED_CAPS", "PRODUCT", "SQRT",
         "BoundOutcome", "chain_bound_table", "construction_length",
         "min_n", "min_n_exact", "necessary_condition", "r2_comparison_table",
     ),

@@ -1,7 +1,7 @@
 """Lower bounds on code length: exact counting condition, closed-form relaxations, tables.
 
-Every solver returns the smallest length passing its bound, found by one
-gallop-and-bisect search over an inequality cleared of denominators, in
+Every solver returns the least length n >= 0 passing its bound, found by
+one gallop-and-bisect search over an inequality cleared of denominators, in
 exact integer arithmetic throughout.  A raw value below the bound's
 applicability floor is clamped to the floor; an outcome is marked vacuous
 whenever some length below the floor survives the exact counting condition,
@@ -12,8 +12,9 @@ checked by funcbatch.check_int, which raises ValueError naming a bad one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import factorial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from funcbatch import BOUND_IDS, MAX_DIMENSION, check_int
 
@@ -76,14 +77,8 @@ def _first_true(cert: Callable[[int], bool], lo: int) -> int:
     while not cert(prev + step):
         prev += step
         step *= 2
-    lo2, hi = prev + 1, prev + step
-    while lo2 < hi:
-        mid = (lo2 + hi) // 2
-        if cert(mid):
-            hi = mid
-        else:
-            lo2 = mid + 1
-    return lo2
+    # cert fails at prev and holds at prev + step; False sorts before True
+    return prev + 1 + bisect_left(range(prev + 1, prev + step), True, key=cert)
 
 
 def min_n_exact(k: int, t: int, r: int) -> int:
@@ -96,55 +91,56 @@ def min_n_exact(k: int, t: int, r: int) -> int:
 
 
 class _Spec(NamedTuple):
-    """A closed-form bound: least n >= start(t) with lhs(n, t, r) >= rhs(2^k - 1, t, r)."""
+    """A closed-form bound: least n >= 0 with lhs(n, t, r) >= rhs(2^k - 1, t, r)."""
 
-    cap: Optional[int]  # the cap the bound fixes; None takes the caller's r
-    start: Callable[[int], int]
     floor: Callable[[int, int], int]
-    lhs: Callable[[int, int, int], int]  # nondecreasing in n from start(t)
+    lhs: Callable[[int, int, int], int]  # nondecreasing in n from 0
     rhs: Callable[[int, int, int], int]
 
 
 # q = 2^k - 1 is the number of nonzero queries
 _SPECS = {
-    # (n-(t-1)/2)(n-t)^(r-1)/(r-1)! >= q, cleared of denominators; from n = t
-    # on, where n - t is nonnegative and the left side is monotone
-    PRODUCT: _Spec(None, lambda t: t, lambda t, r: t + r,
-                   lambda n, t, r: (2 * n - t + 1) * (n - t) ** (r - 1),
+    # (n-(t-1)/2)(n-t)^(r-1)/(r-1)! >= q, cleared of denominators; the left
+    # side is monotone from n = t on, where n - t is nonnegative, and 0 below
+    PRODUCT: _Spec(lambda t, r: t + r,
+                   lambda n, t, r: (2 * n - t + 1) * (n - t) ** (r - 1) if n >= t else 0,
                    lambda q, t, r: 2 * q * factorial(r - 1)),
     # mean-inequality relaxation n >= t - (t+1)/(2r) + (q(r-1)!)^(1/r)
-    AMGM: _Spec(None, lambda t: 0, lambda t, r: t + r,
+    AMGM: _Spec(lambda t, r: t + r,
                 lambda n, t, r: max(2 * r * (n - t) + t + 1, 0) ** r,
                 lambda q, t, r: (2 * r) ** r * q * factorial(r - 1)),
     # iterated recursion n >= (t+r)/2 - 1 + (q(r-1)!)^(1/r)
-    CHAIN: _Spec(None, lambda t: 0, lambda t, r: max(t + 1, 2 * r - 1),
+    CHAIN: _Spec(lambda t, r: max(t + 1, 2 * r - 1),
                  lambda n, t, r: max(2 * n - t - r + 2, 0) ** r,
                  lambda q, t, r: (1 << r) * q * factorial(r - 1)),
     # cap 2: n >= (2q)^(1/2) + 3t/4 - 5/4 and n >= 1
-    SQRT: _Spec(2, lambda t: 1, lambda t, r: 1,
+    SQRT: _Spec(lambda t, r: 1,
                 lambda n, t, r: max(4 * n - 3 * t + 5, 0) ** 2,
                 lambda q, t, r: 32 * q),
     # unrestricted cap: (t+1)^n >= q^t
-    BASELINE: _Spec(1, lambda t: 0, lambda t, r: 0,
+    BASELINE: _Spec(lambda t, r: 0,
                     lambda n, t, r: (t + 1) ** n,
                     lambda q, t, r: q ** t),
 }
+
+# the cap each of these bounds fixes, whatever r is passed; the others take r
+FIXED_CAPS = {SQRT: 2, BASELINE: 1}
 
 
 def min_n(bound_id: str, k: int, t: int, r: int) -> BoundOutcome:
     """Smallest length passing a closed-form bound (product, amgm, chain, sqrt, baseline).
 
-    sqrt fixes the cap at 2 and baseline at 1, whatever r is passed.  The
-    raw minimum is found by gallop and bisection on the bound's integer
-    inequality, then clamped to the applicability floor.
+    sqrt and baseline take their cap from FIXED_CAPS, whatever r is
+    passed.  The raw minimum is found by gallop and bisection on the bound's
+    integer inequality, then clamped to the applicability floor.
     """
     if bound_id not in _SPECS:
         raise ValueError(f"no closed-form bound {bound_id!r}")
     spec = _SPECS[bound_id]
-    r = r if spec.cap is None else spec.cap
+    r = FIXED_CAPS.get(bound_id, r)
     _check_code(k, t, r)
     rhs = spec.rhs((1 << k) - 1, t, r)
-    raw = _first_true(lambda n: spec.lhs(n, t, r) >= rhs, spec.start(t))
+    raw = _first_true(lambda n: spec.lhs(n, t, r) >= rhs, 0)
     floor = spec.floor(t, r)
     # the outcome is an unconditional bound only when every length below
     # the applicability floor already fails the exact counting condition
@@ -169,19 +165,15 @@ class R2ComparisonRow(NamedTuple):
     construction: int
 
 
-def r2_comparison_table(k_max: int = 7) -> list[R2ComparisonRow]:
-    """Rows for k = 2..k_max at batch size t = 2^k, cap r = 2.
+def r2_comparison_table() -> list[R2ComparisonRow]:
+    """Rows for k = 2..7 at batch size t = 2^k, cap r = 2.
 
     The exact column's search reads one labelling counter per row, whose
     reduced numerators are built once up to the largest length tested, and
-    no t-by-n table, so k = 12 (t = 4096) takes well under a second.
+    no t-by-n table.
     """
-    check_int("k_max", k_max, 2)
-    # checked before any row is solved, not by min_n_exact at the last row
-    if k_max > MAX_DIMENSION:
-        raise ValueError(f"k_max must be at most {MAX_DIMENSION}, got {k_max}")
     rows = []
-    for k in range(2, k_max + 1):
+    for k in range(2, 8):
         t = 1 << k
         rows.append(R2ComparisonRow(
             k=k,

@@ -119,19 +119,13 @@ def _table_csv(which: int) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from decimal import Decimal
+
     from funcbatch.counting import labelling_count_egf
 
-    value = labelling_count_egf(args.n, args.t, args.r)
-    # CPython caps int-to-decimal conversion at 4,300 digits by default; lift
-    # the cap for this print only (3.10.0-3.10.6 have neither cap nor setter)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        print(value)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # CPython caps int-to-decimal conversion at 4,300 digits by default;
+    # Decimal has no such cap and prints the same digits
+    print(Decimal(labelling_count_egf(args.n, args.t, args.r)))
     return EX_OK
 
 
@@ -144,7 +138,7 @@ def _cmd_minn(args: argparse.Namespace) -> int:
         return EX_OK
     # solve first, so that a rejected command prints its error and no warning
     outcome = bounds.min_n(args.bound, k, t, r)
-    cap = bounds._SPECS[args.bound].cap
+    cap = bounds.FIXED_CAPS.get(args.bound)
     if args.r is not None and cap is not None and args.r != cap:
         print(f"warning: {args.bound} bound assumes cap {cap}; ignoring --r {args.r}",
               file=sys.stderr)

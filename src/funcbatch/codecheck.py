@@ -146,17 +146,20 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
                              deadline: Optional[float] = None) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
-    Grows the catalog to depth first, deadline or not, so a partly built
-    one answers as build_catalog's would.  Backtracks over queries ordered
-    by ascending candidate count; candidates are tried smallest set first.
-    Prunes when the remaining queries' minimum set sizes exceed the free
-    columns.  With a deadline (a time.monotonic() value) the clock is read
-    every 256 search nodes, and TimeoutError is raised once it has passed.
+    Grows the catalog to depth first, so a partly built one answers as
+    build_catalog's would.  Backtracks over queries ordered by ascending
+    candidate count; candidates are tried smallest set first.  Prunes when
+    the remaining queries' minimum set sizes exceed the free columns.  With
+    a deadline (a time.monotonic() value) the clock is read before each
+    size is built and every 256 search nodes, and TimeoutError is raised
+    once it has passed.
     """
     for w in batch:
         if not isinstance(w, int) or not 1 <= w < 1 << catalog.k:
             raise ValueError(f"query {w!r} is not a nonzero {catalog.k}-bit vector")
     while catalog.size < catalog.depth:
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed before the catalog was built")
         catalog.grow()
     cands = [catalog.sets.get(w, ()) for w in batch]
     if not all(cands):

@@ -60,6 +60,29 @@ def labelling_count_direct(n: int, t: int, r: int) -> int:
     return total
 
 
+def first_true_by_halving(cert, lo):
+    """Smallest n >= lo with cert(n): a gallop from lo, then bisection written out by hand.
+
+    The reference for bounds._first_true, which hands its bisection to the
+    bisect module: for the same cert and lo, both probe the same lengths in
+    the same order.
+    """
+    if cert(lo):
+        return lo
+    prev, step = lo, 1
+    while not cert(prev + step):
+        prev += step
+        step *= 2
+    lo2, hi = prev + 1, prev + step
+    while lo2 < hi:
+        mid = (lo2 + hi) // 2
+        if cert(mid):
+            hi = mid
+        else:
+            lo2 = mid + 1
+    return lo2
+
+
 def labelling_upper_r2(n, t):
     """Closed-form ceiling (n)_t * (n-t+2)^t / 2^t on the labelling count at per-label cap 2."""
     if not 0 <= t <= n:

@@ -29,7 +29,7 @@ def _report(num, label, started):
 def test_criterion_1_r2_comparison_table():
     started = time.monotonic()
     rows = [(r.k, r.t, r.sqrt_min, r.exact_min, r.construction)
-            for r in r2_comparison_table(7)]
+            for r in r2_comparison_table()]
     assert rows == [
         (2, 4, 5, 5, 6),
         (3, 8, 9, 10, 14),

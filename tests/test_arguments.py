@@ -13,7 +13,6 @@ from funcbatch.bounds import (
     min_n,
     min_n_exact,
     necessary_condition,
-    r2_comparison_table,
 )
 from funcbatch.codecheck import (
     RecoveryCatalog,
@@ -52,7 +51,6 @@ CASES = [
     ("necessary_condition", "r", lambda v: necessary_condition(10, 3, 8, v), 0,
      "r must be positive"),
     ("construction_length", "k", construction_length, 0, "k must be positive"),
-    ("r2_comparison_table", "k_max", r2_comparison_table, 1, "k_max must be at least 2"),
     ("LabellingTable", "r", LabellingTable, 0, "r must be positive"),
     ("LabellingTable.count", "n", lambda v: LabellingTable(2).count(v, 2), -1,
      "n must be nonnegative"),

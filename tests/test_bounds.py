@@ -20,6 +20,7 @@ from funcbatch.bounds import (
     r2_comparison_table,
 )
 from funcbatch.counting import LabellingTable
+from oracles import first_true_by_halving
 
 
 def product_cert(n, k, t, r):
@@ -134,7 +135,6 @@ def test_min_n_exact_k10_pinned_by_closed_form():
     t, rhs = 1024, 1023 ** 1024
     assert r2_count_closed_form(1132, t) >= rhs > r2_count_closed_form(1131, t)
     assert min_n_exact(10, t, 2) == 1132
-    assert r2_comparison_table(10)[-1].exact_min == 1132
 
 
 @pytest.mark.parametrize("k,n", [(11, 2248), (12, 4468)])
@@ -234,7 +234,7 @@ def test_construction_length():
 
 
 def test_r2_comparison_rows():
-    rows = r2_comparison_table(7)
+    rows = r2_comparison_table()
     got = [(r.k, r.t, r.sqrt_min, r.exact_min, r.construction) for r in rows]
     assert got == [
         (2, 4, 5, 5, 6),
@@ -248,17 +248,32 @@ def test_r2_comparison_rows():
         assert r.sqrt_min <= r.exact_min <= r.construction
 
 
-def test_r2_comparison_rejects_tiny_kmax(monkeypatch):
-    with pytest.raises(ValueError):
-        r2_comparison_table(1)
+def test_every_closed_form_left_side_is_nondecreasing_from_zero():
+    # min_n searches every closed-form bound from n = 0, so no left side may
+    # dip on the way up: product's is 0 below n = t
+    for bound_id, spec in bounds._SPECS.items():
+        for t in range(1, 41):
+            for r in range(1, 7):
+                lhs = [spec.lhs(n, t, r) for n in range(2 * (t + r) + 40)]
+                assert lhs == sorted(lhs), (bound_id, t, r)
 
-    # k_max = 25 must be rejected before any row is solved: rows k = 2..24 take hours
-    def solve(k, t, r):
-        raise AssertionError(f"row k={k} solved before k_max was checked")
 
-    monkeypatch.setattr(bounds, "min_n_exact", solve)
-    with pytest.raises(ValueError, match="k_max"):
-        r2_comparison_table(25)
+def test_first_true_probes_as_the_halving_loop_does():
+    rng = random.Random(20261019)
+    cases = [(lo, first) for lo in range(12) for first in range(lo, lo + 300)]
+    cases += [(lo, lo + rng.randrange(1 << rng.randrange(1, 48)))
+              for lo in (rng.randrange(5000) for _ in range(3000))]
+    for lo, first in cases:
+        probes = {}
+        for search in (bounds._first_true, first_true_by_halving):
+            seen = probes[search] = []
+
+            def cert(n, seen=seen, first=first):
+                seen.append(n)
+                return n >= first
+
+            assert search(cert, lo) == first
+        assert probes[bounds._first_true] == probes[first_true_by_halving], (lo, first)
 
 
 def test_chain_table_cells():

@@ -656,6 +656,15 @@ def test_serves_past_its_deadline_raises_and_builds_no_size(monkeypatch):
     assert (catalog.size, sizes) == (2, [1, 2])
 
 
+def test_search_past_its_deadline_raises_and_builds_no_size():
+    # the clock is read before each size is built, so a search handed a
+    # passed deadline builds none of simplex:7's 338,836 sets of size <= 3
+    catalog = RecoveryCatalog(simplex(7), 3)
+    with pytest.raises(TimeoutError):
+        find_disjoint_assignment(catalog, (127,), deadline=time.monotonic() - 1)
+    assert (catalog.size, catalog.sets) == (0, {})
+
+
 def test_verify_matrix_without_full_span_fails():
     m = GeneratorMatrix(2, (1, 1))
     v = verify(m, 1, 2)

@@ -181,6 +181,34 @@ def test_every_public_name_is_read_by_the_package_or_shown_in_readme():
     assert [name for name in funcbatch.__all__ if name not in read | shown] == []
 
 
+def test_no_module_reads_another_modules_private_name():
+    # a module's _-prefixed names are its own: the CLI and the engines read
+    # each other only through public names, so a private one can change freely
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = []
+    for path in sorted(Path(funcbatch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()  # the names an import from the package binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or "funcbatch" for a in node.names
+                             if a.name.split(".")[0] == "funcbatch"}
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("funcbatch"):
+                imported |= {a.asname or a.name for a in node.names}
+                reads += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                          if private(a.name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in imported:
+                    reads.append(f"{path.name}: {ast.unparse(node)}")
+    assert reads == []
+
+
 def test_star_import_binds_exactly_all():
     namespace = {}
     exec("from funcbatch import *", namespace)

@@ -20,7 +20,7 @@ def records():
         Verdict(HOLDS, None, 12, 0.5, 3),
         min_n(CHAIN, 5, 2, 2),
         bounds._SPECS[CHAIN],
-        bounds.r2_comparison_table(2)[0],
+        bounds.r2_comparison_table()[0],
         bounds.chain_bound_table()[0],
     ]
 
