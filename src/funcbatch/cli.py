@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -20,8 +19,6 @@ EX_USAGE = 64
 EX_DATA = 65
 EX_SOFTWARE = 70
 EX_IO = 74
-
-BUDGET_ENV_VAR = "FBC_BUDGET_SECONDS"
 
 
 class UsageError(Exception):
@@ -172,7 +169,8 @@ def _construct(name: str, k: int) -> GeneratorMatrix:
 
 def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
     if args.matrix is not None:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
+        # utf-8-sig also reads a file that an editor began with a byte-order mark
+        with open(args.matrix, "r", encoding="utf-8-sig") as handle:
             return parse_matrix(handle.read())
     name, _, num = args.construct.partition(":")
     try:
@@ -193,19 +191,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from funcbatch import codecheck
 
     matrix = _load_matrix(args)
-    budget_seconds = args.budget_seconds
-    if budget_seconds is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        if env:
-            try:
-                budget_seconds = float(env)
-            except ValueError:
-                raise UsageError(f"{BUDGET_ENV_VAR} must be a number, got {env!r}") from None
     verdict = codecheck.verify(
         matrix, args.t, args.r,
         deterministic=args.deterministic,
         jobs=args.jobs,
-        budget_seconds=budget_seconds,
+        budget_seconds=args.budget_seconds,
         budget_batches=args.budget_batches,
     )
     print(verdict.status)

@@ -71,10 +71,11 @@ def _reduced_numerators(t: int, r: int) -> Iterator[int]:
     with (t+j)_i a falling factorial; the division is exact.
     """
     r_fact = factorial(r)
-    weights = [r_fact // factorial(i + 1) for i in range(r)]
-    g = [1]
+    weights, g = [r_fact], [1]  # weights[i] = r!/(i+1)!, built only as far as j reads
     yield 1
     for j in range(1, (r - 1) * t + 1):
+        if j < r:
+            weights.append(weights[j - 1] // (j + 1))
         total, falling = 0, 1
         for i in range(1, min(j, r - 1) + 1):
             falling *= t + j - i + 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from funcbatch import BOUND_IDS, cli
+from funcbatch import BOUND_IDS
 from funcbatch.cli import EX_FALSIFIED, EX_OK, EX_UNDECIDED, format_matrix
 from funcbatch.gf2 import GeneratorMatrix
 from test_cli import run_cli
@@ -101,7 +101,6 @@ def commands():
 @pytest.fixture
 def sandbox(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
     return tmp_path
 
 
