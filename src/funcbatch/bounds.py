@@ -5,15 +5,19 @@ one gallop-and-bisect search over an inequality cleared of denominators, in
 exact integer arithmetic throughout.  A raw value below the bound's
 applicability floor is clamped to the floor; an outcome is marked vacuous
 whenever some length below the floor survives the exact counting condition,
-since the bound then certifies no unconditional minimum.  The solvers take
-k in 1..MAX_DIMENSION and positive t and r; every integer argument is
-checked by funcbatch.check_int, which raises ValueError naming a bad one.
+since the bound then certifies no unconditional minimum.  The exact
+counting condition is evaluated in one place, a search over one labelling
+counter: min_n_exact runs it to its end, and necessary_condition(n) stops it
+just past n, so the vacuity check counts no length past the first that
+passes.  The solvers take k in 1..MAX_DIMENSION and positive t and r; every
+integer argument is checked by funcbatch.check_int, which raises ValueError
+naming a bad one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import factorial
+from math import factorial, inf
 from typing import Callable, NamedTuple
 
 from funcbatch import BOUND_IDS, MAX_DIMENSION, check_int
@@ -54,19 +58,13 @@ class BoundOutcome(NamedTuple):
     def clamped(self) -> bool:
         return self.raw_min_n < self.applicability_floor
 
+    def __repr__(self) -> str:
+        # rhs through Decimal, as the CLI's count prints, since repr of an int
+        # past CPython's 4,300-digit int-to-str cap raises ValueError
+        from decimal import Decimal
 
-def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
-    """Pigeonhole test: the labelling count at length n must cover all (2^k-1)^t batches.
-
-    False certifies that no [n, k, t, r] functional batch code exists.
-    """
-    # imported on first use: sqrt and baseline have floors of at most 1, never
-    # test this condition, and so a minn launch that solves either skips it
-    from funcbatch.counting import labelling_count_egf
-
-    _check_code(k, t, r)
-    check_int("n", n, 0)
-    return labelling_count_egf(n, t, r) >= ((1 << k) - 1) ** t
+        head = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({head}, rhs={Decimal(self.rhs)})"
 
 
 def _first_true(cert: Callable[[int], bool], lo: int) -> int:
@@ -81,13 +79,38 @@ def _first_true(cert: Callable[[int], bool], lo: int) -> int:
     return prev + 1 + bisect_left(range(prev + 1, prev + step), True, key=cert)
 
 
-def min_n_exact(k: int, t: int, r: int) -> int:
-    """Smallest length passing the exact counting condition; every probe reads one counter."""
+def _least_passing(k: int, t: int, r: int, stop: float = inf) -> int:
+    """Least n >= t passing the exact counting condition, or stop if none below stop does.
+
+    All probes read one labelling counter, which builds each reduced
+    numerator once and none past the largest length probed; lengths at or
+    past stop are never counted.  The count never falls as n grows, so the
+    gallop over it is exact.
+    """
+    # imported on first use: sqrt and baseline have floors of at most 1, never
+    # test this condition, and so a minn launch that solves either skips it
     from funcbatch.counting import labelling_counter
 
-    _check_code(k, t, r)
     count, rhs = labelling_counter(t, r), ((1 << k) - 1) ** t
-    return _first_true(lambda n: count(n) >= rhs, lo=t)
+    return _first_true(lambda n: n >= stop or count(n) >= rhs, lo=min(t, stop))
+
+
+def necessary_condition(n: int, k: int, t: int, r: int) -> bool:
+    """Pigeonhole test: the labelling count at length n must cover all (2^k-1)^t batches.
+
+    False certifies that no [n, k, t, r] functional batch code exists.
+    Answered by the exact search stopped just past n: n passes exactly when
+    some length up to n does.
+    """
+    _check_code(k, t, r)
+    check_int("n", n, 0)
+    return _least_passing(k, t, r, stop=n + 1) <= n
+
+
+def min_n_exact(k: int, t: int, r: int) -> int:
+    """Smallest length passing the exact counting condition; every probe reads one counter."""
+    _check_code(k, t, r)
+    return _least_passing(k, t, r)
 
 
 class _Spec(NamedTuple):

@@ -4,9 +4,10 @@ The central quantity is the number of ways to label n positions with labels
 {0, 1, ..., t} so that every nonzero label appears at least once and at most
 r times.  labelling_counter computes it, in integers throughout, from the
 series numerators divided by t!, which each counter builds for itself only
-as far as the lengths asked of it; the exact counting bound keeps one
-counter for its whole search, and labelling_count_egf, which the CLI's count
-reads, builds one per call.  No state is shared between calls.  The
+as far as the lengths asked of it.  It has two readers: the one exact
+search of bounds, behind both min_n_exact and necessary_condition, keeps one
+counter for its whole gallop, and labelling_count_egf builds one per call
+for the CLI's count.  No state is shared between calls.  The
 closed-form ceilings on the count are stated once, as the bound
 inequalities of bounds._SPECS.  Every entry point, the counter returned
 included, checks its integer arguments with funcbatch.check_int: n and t

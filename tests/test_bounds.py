@@ -1,8 +1,11 @@
 import random
 import re
+from decimal import Decimal
 from math import factorial, perm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcbatch import bounds
 from funcbatch.bounds import (
@@ -78,6 +81,18 @@ def test_necessary_condition_monotone_in_n():
                     if seen_true:
                         assert value
                     seen_true = seen_true or value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 40), st.data())
+def test_exact_search_matches_a_direct_count(k, t, r, data):
+    # necessary_condition stops its search just past n; the table counts at n alone
+    table, rhs = LabellingTable(r), ((1 << k) - 1) ** t
+    n = data.draw(st.integers(0, 2 * min_n_exact(k, t, r) + 2), label="n")
+    assert necessary_condition(n, k, t, r) == (table.count(n, t) >= rhs)
+    for bound_id in (PRODUCT, AMGM, CHAIN):
+        outcome = min_n(bound_id, k, t, r)
+        assert outcome.vacuous == (table.count(outcome.applicability_floor - 1, t) >= rhs)
 
 
 def test_min_n_exact_fixtures():
@@ -209,6 +224,21 @@ def test_min_n_chain_clamped_and_vacuous_cells():
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 7, True, True)
     o = min_n(CHAIN, 8, 2, 5)
     assert (o.min_n, o.raw_min_n, o.clamped, o.vacuous) == (9, 9, False, False)
+
+
+def test_bound_outcome_repr_prints_rhs_past_the_int_digit_cap():
+    prefix = "BoundOutcome(bound_id='baseline', raw_min_n=1778, applicability_floor=0, vacuous=False, rhs="
+    outcome = min_n(BASELINE, 24, 700, 1)
+    assert outcome.rhs.bit_length() == 16800  # about 5,060 digits, past the 4,300 cap
+    text = repr(outcome)
+    assert text.startswith(prefix) and text.endswith(")")
+    assert Decimal(text[len(prefix):-1]) == outcome.rhs
+    # a large-cap chain cell is solved at once and prints alike
+    assert repr(min_n(CHAIN, 3, 2, 2000)).startswith(
+        "BoundOutcome(bound_id='chain', raw_min_n=1736, applicability_floor=3999, vacuous=True, rhs=")
+    # an ordinary rhs prints as the NamedTuple default does
+    assert repr(min_n(CHAIN, 7, 2, 5)) == (
+        "BoundOutcome(bound_id='chain', raw_min_n=8, applicability_floor=9, vacuous=False, rhs=97536)")
 
 
 def test_min_n_sqrt_fixtures():

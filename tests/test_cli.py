@@ -159,12 +159,18 @@ def test_minn_r_defaults_to_two_and_only_a_given_r_warns(bound):
     assert implicit[2] == ""
 
 
-@pytest.mark.parametrize("bound", ["chain", "amgm"])
-def test_minn_huge_cap_exits_cleanly(bound):
-    # (2^k - 1)(r-1)! is far beyond the float range at r = 200
-    got = run_cli("minn", "--k", "3", "--t", "2", "--r", "200", "--bound", bound)
-    out = {"chain": "-\nfloor=399 raw=174\n", "amgm": "-\nfloor=202 raw=76\n"}[bound]
-    assert got == (EX_OK, out, "")
+@pytest.mark.parametrize("bound, r, out", [
+    pytest.param("chain", 200, "-\nfloor=399 raw=174\n", id="chain"),
+    pytest.param("amgm", 200, "-\nfloor=202 raw=76\n", id="amgm"),
+    pytest.param("product", 1000, "-\nfloor=1002 raw=370\n", id="product-1000"),
+    pytest.param("amgm", 1000, "-\nfloor=1002 raw=370\n", id="amgm-1000"),
+    pytest.param("chain", 1000, "-\nfloor=1999 raw=868\n", id="chain-1000"),
+])
+def test_minn_huge_cap_exits_cleanly(bound, r, out):
+    # (2^k - 1)(r-1)! is far beyond the float range at r = 200; the vacuity
+    # check below the floor stops at the first length passing the exact count
+    got = run_capped("minn", "--k", "3", "--t", "2", "--r", str(r), "--bound", bound, cpu_seconds=10)
+    assert (got.returncode, got.stdout, got.stderr) == (EX_OK, out, "")
 
 
 def test_minn_unknown_bound_is_usage_error():
