@@ -46,7 +46,7 @@ _EXPORTS = {
         "RecoveryCatalog", "Verdict", "build_catalog", "double_simplex",
         "find_disjoint_assignment", "simplex", "verify",
     ),
-    "counting": ("labelling_count_egf",),
+    "counting": ("labelling_counter",),
     "gf2": ("GeneratorMatrix",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

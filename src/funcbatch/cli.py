@@ -118,11 +118,11 @@ def _table_csv(which: int) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     from decimal import Decimal
 
-    from funcbatch.counting import labelling_count_egf
+    from funcbatch.counting import labelling_counter
 
     # CPython caps int-to-decimal conversion at 4,300 digits by default;
     # Decimal has no such cap and prints the same digits
-    print(Decimal(labelling_count_egf(args.n, args.t, args.r)))
+    print(Decimal(labelling_counter(args.t, args.r)(args.n)))
     return EX_OK
 
 

@@ -118,7 +118,9 @@ class RecoveryCatalog:
         self.sets: dict[int, tuple[int, ...]] = {}
 
     def grow(self) -> None:
-        """Build the sets of the next size and append them to each query's sets."""
+        """Build the sets of the next size and append them to each query's sets; at depth, none."""
+        if self.size == self.depth:
+            return
         self.size += 1
         level = _level(self._matrix, self.size)
         # pop each query's list as it is appended, so it is not held twice
@@ -376,21 +378,26 @@ def _scan_forked(scan: Callable[[int], ScanResult], workers: int) -> list[ScanRe
     catalog built so far) and nothing scan(0) builds; each builds what its
     own scan needs.  Nothing is pickled: each child sends its result back
     through a pipe with marshal and leaves with os._exit.  A child that
-    fails or dies makes this raise; whenever this raises, every child still
-    running is killed and reaped first.  Results come back in worker order.
+    cannot be forked, fails or dies makes this raise RuntimeError; whenever
+    this raises, every child still running is killed and reaped first.
+    Results come back in worker order.
     """
     pipes: list[int] = []  # read end of child i's pipe at index i - 1
     running: list[int] = []  # pids not yet reaped, in child order
     try:
         for i in range(1, workers):
-            read_end, write_end = os.pipe()
-            pipes.append(read_end)
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _child_scan(scan, i, write_end)
-            finally:
-                os.close(write_end)
+                read_end, write_end = os.pipe()
+                pipes.append(read_end)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _child_scan(scan, i, write_end)
+                finally:
+                    os.close(write_end)
+            except OSError as exc:
+                # out of processes or descriptors: no verdict, as for a worker that failed
+                raise RuntimeError(f"verify worker {i} could not start: {exc}") from exc
             running.append(pid)
         results = [scan(0)]
         for i, read_end in enumerate(pipes, 1):

@@ -6,12 +6,11 @@ r times.  labelling_counter computes it, in integers throughout, from the
 series numerators divided by t!, which each counter builds for itself only
 as far as the lengths asked of it.  It has two readers: the one exact
 search of bounds, behind both min_n_exact and necessary_condition, keeps one
-counter for its whole gallop, and labelling_count_egf builds one per call
-for the CLI's count.  No state is shared between calls.  The
-closed-form ceilings on the count are stated once, as the bound
-inequalities of bounds._SPECS.  Every entry point, the counter returned
-included, checks its integer arguments with funcbatch.check_int: n and t
-nonnegative ints, r a positive int.
+counter for its whole gallop, and the CLI's count builds one per launch.
+No state is shared between counters.  The closed-form ceilings on the
+count are stated once, as the bound inequalities of bounds._SPECS.  Every
+entry point, the counter returned included, checks its integer arguments
+with funcbatch.check_int: n and t nonnegative ints, r a positive int.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ class LabellingTable:
         count(n, t) = sum_{i=1..min(r,n)} C(n, i) * count(n-i, t-1),
     with count(n, 0) = 1.  Rows extend lazily; memory is O(t * n) integers.
     Not safe for concurrent writers; give each worker its own table.  No
-    engine uses it: it is the tests' reference for labelling_count_egf, and
+    engine uses it: it is the tests' reference for labelling_counter, and
     it stays here only because bench/tracer.py wraps LabellingTable.count
     by name, until the benchmark drops that metric (ROADMAP item 1).
     """
@@ -113,7 +112,3 @@ def labelling_counter(t: int, r: int) -> Callable[[int], int]:
 
     return count
 
-
-def labelling_count_egf(n: int, t: int, r: int) -> int:
-    """Labelling count of length n, from a counter built for this one call."""
-    return labelling_counter(t, r)(n)

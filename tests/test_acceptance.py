@@ -11,7 +11,7 @@ from math import factorial
 from funcbatch import bounds
 from funcbatch.bounds import chain_bound_table, min_n, min_n_exact, r2_comparison_table
 from funcbatch.codecheck import double_simplex, simplex, verify
-from funcbatch.counting import LabellingTable, labelling_count_egf
+from funcbatch.counting import LabellingTable, labelling_counter
 from oracles import (
     brute_force_count,
     labelling_count_direct,
@@ -80,7 +80,7 @@ def test_criterion_3_count_method_equivalence():
             for n in range(0, 13):
                 value = table.count(n, t)
                 assert labelling_count_direct(n, t, r) == value
-                assert labelling_count_egf(n, t, r) == value
+                assert labelling_counter(t, r)(n) == value
     for r in range(1, 4):
         table = LabellingTable(r)
         for t in range(0, 4):

@@ -22,7 +22,7 @@ from funcbatch.codecheck import (
     simplex,
     verify,
 )
-from funcbatch.counting import LabellingTable, labelling_count_egf, labelling_counter
+from funcbatch.counting import LabellingTable, labelling_counter
 from funcbatch.gf2 import GeneratorMatrix, rank
 
 
@@ -59,12 +59,6 @@ CASES = [
     ("labelling_counter", "t", lambda v: labelling_counter(v, 2), -1, "t must be nonnegative"),
     ("labelling_counter", "r", lambda v: labelling_counter(2, v), 0, "r must be positive"),
     ("count", "n", lambda v: labelling_counter(2, 2)(v), -1, "n must be nonnegative"),
-    ("labelling_count_egf", "n", lambda v: labelling_count_egf(v, 2, 2), -1,
-     "n must be nonnegative"),
-    ("labelling_count_egf", "t", lambda v: labelling_count_egf(5, v, 2), -1,
-     "t must be nonnegative"),
-    ("labelling_count_egf", "r", lambda v: labelling_count_egf(5, 2, v), 0,
-     "r must be positive"),
     ("simplex", "k", simplex, 8, "k must be in 1..7, got 8"),
     ("double_simplex", "k", double_simplex, 7, "k must be in 1..6, got 7"),
     ("RecoveryCatalog", "r", lambda v: RecoveryCatalog(simplex(2), v), 0, "r must be positive"),

@@ -24,7 +24,7 @@ from funcbatch.cli import (
     parse_matrix,
 )
 from funcbatch.codecheck import double_simplex, simplex
-from funcbatch.counting import LabellingTable, labelling_count_egf
+from funcbatch.counting import LabellingTable, labelling_counter
 from funcbatch.gf2 import GeneratorMatrix
 from oracles import labelling_count_direct
 from test_fanout import fixed_workers
@@ -73,13 +73,13 @@ def test_count_too_few_positions_is_zero():
 COUNT_METHODS = {
     "direct": labelling_count_direct,
     "rec": lambda n, t, r: LabellingTable(r).count(n, t),
-    "egf": labelling_count_egf,
+    "egf": lambda n, t, r: labelling_counter(t, r)(n),
 }
 
 
 @pytest.mark.parametrize("method", sorted(COUNT_METHODS))
 def test_count_methods_agree(method):
-    # count runs labelling_count_egf; the direct sum and the recursion are its references
+    # count runs labelling_counter; the direct sum and the recursion are its references
     code, out, _ = run_cli("count", "--n", "9", "--t", "3", "--r", "3")
     assert code == EX_OK and out == "116340\n"
     assert COUNT_METHODS[method](9, 3, 3) == 116340
@@ -103,7 +103,7 @@ def test_count_prints_every_digit_of_a_huge_count(monkeypatch):
     digits = out.rstrip("\n")
     assert out == digits + "\n" and digits.isdigit()
     # Decimal parses a string of any length, and compares with an int exactly
-    assert Decimal(digits) == labelling_count_egf(4468, 4096, 2)
+    assert Decimal(digits) == labelling_counter(4096, 2)(4468)
 
 
 def test_count_cap_far_above_the_batch_costs_nothing_extra():

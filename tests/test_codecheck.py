@@ -137,6 +137,29 @@ def test_catalog_matches_subset_enumeration_random(case):
     assert build_catalog(matrix, r).sets == subset_catalog_oracle(matrix, r)
 
 
+def test_grow_at_depth_builds_nothing():
+    # two columns at cap 1: past depth, grow() used to build the pair {1, 2}
+    # (query 3), and then a size past n
+    m = GeneratorMatrix(2, (1, 2))
+    cat = RecoveryCatalog(m, 1)
+    for _ in range(3):
+        cat.grow()
+    assert (cat.size, cat.depth) == (1, 1)
+    assert cat.sets == build_catalog(m, 1).sets == {1: (1,), 2: (2,)}
+    assert find_disjoint_assignment(cat, (3,)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_cases(), st.integers(0, 4))
+def test_grow_past_depth_keeps_the_catalog(case, extra):
+    matrix, r = case
+    cat = RecoveryCatalog(matrix, r)
+    for _ in range(cat.depth + extra):
+        cat.grow()
+    assert cat.size == cat.depth
+    assert cat.sets == build_catalog(matrix, r).sets
+
+
 def test_catalog_simplex7_r3_sizes():
     cat = build_catalog(simplex(7), 3)
     assert len(cat.sets) == 127

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from funcbatch import counting
 from funcbatch.bounds import min_n_exact
-from funcbatch.counting import LabellingTable, labelling_count_egf, labelling_counter
+from funcbatch.counting import LabellingTable, labelling_counter
 from oracles import (
     brute_force_count,
     egf_numerators,
@@ -27,7 +27,7 @@ def test_count_matches_brute_force_oracle():
                 expected = brute_force_count(n, t, r)
                 assert labelling_count_direct(n, t, r) == expected
                 assert LabellingTable(r).count(n, t) == expected
-                assert labelling_count_egf(n, t, r) == expected
+                assert labelling_counter(t, r)(n) == expected
 
 
 def test_count_direct_fixed_values():
@@ -52,7 +52,7 @@ def test_three_methods_agree_on_wider_grid():
             for n in range(0, 13):
                 expected = table.count(n, t)
                 assert labelling_count_direct(n, t, r) == expected
-                assert labelling_count_egf(n, t, r) == expected
+                assert labelling_counter(t, r)(n) == expected
 
 
 def test_table_agrees_with_direct_on_audit_grid():
@@ -101,7 +101,7 @@ def test_args_validation():
     with pytest.raises(ValueError):
         LabellingTable(2).count(-1, 2)
     with pytest.raises(ValueError):
-        labelling_count_egf(3, -1, 2)
+        labelling_counter(-1, 2)(3)
 
 
 def frac_poly_power(r, t, max_deg):
@@ -219,7 +219,7 @@ def test_reduced_numerators_do_not_depend_on_call_order():
     for order in orders.values():
         for t, r, j_max in order:
             assert reduced_numerators(t, r, j_max) == fresh_reduced(t, r, j_max)
-            assert labelling_count_egf(t + j_max, t, r) == labelling_count_direct(t + j_max, t, r)
+            assert labelling_counter(t, r)(t + j_max) == labelling_count_direct(t + j_max, t, r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +262,7 @@ def test_egf_count_matches_table_on_large_grid():
         table = LabellingTable(r)
         for t in range(0, 12):
             for n in range(0, 40):
-                assert labelling_count_egf(n, t, r) == table.count(n, t)
+                assert labelling_counter(t, r)(n) == table.count(n, t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,7 +270,7 @@ def test_egf_count_matches_table_on_large_grid():
 def test_egf_count_matches_table_and_direct(n, t, r):
     expected = labelling_count_direct(n, t, r)
     assert LabellingTable(r).count(n, t) == expected
-    assert labelling_count_egf(n, t, r) == expected
+    assert labelling_counter(t, r)(n) == expected
 
 
 def test_upper_r2_values():

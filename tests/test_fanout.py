@@ -4,6 +4,7 @@ Each test fixes the usable CPU count by patching _worker_count, so the
 children are forked even where one CPU is usable.
 """
 
+import errno
 import os
 import signal
 import time
@@ -39,6 +40,24 @@ def counted_forks():
         return real_fork()
 
     return forks, mock.patch.object(os, "fork", fork)
+
+
+# what os.fork raises when no process can be made
+NO_PROCESS = f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}"
+
+
+def failing_fork(at):
+    """Patch os.fork so that its at-th call raises EAGAIN."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        if len(calls) == at:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    return mock.patch.object(os, "fork", fork)
 
 
 def in_children(action):
@@ -186,6 +205,32 @@ def test_a_failed_worker_is_a_software_error_at_the_cli(action, capsys):
     assert (code, out) == (cli.EX_SOFTWARE, "")
     # one error: line, not the child's traceback
     assert err.startswith("error: verify worker 1 ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert_no_children()
+
+
+def test_a_worker_that_cannot_be_forked_is_a_runtime_error():
+    # the second of three forks fails: worker 1, already forked, is killed and reaped
+    def scan(i):
+        time.sleep(60)  # killed long before this ends
+        return i, 0, None
+
+    start = time.monotonic()
+    with failing_fork(2):
+        with pytest.raises(RuntimeError) as exc:
+            codecheck._scan_forked(scan, 4)
+    assert str(exc.value) == f"verify worker 2 could not start: {NO_PROCESS}"
+    assert time.monotonic() - start < 30
+    assert_no_children()
+
+
+def test_a_worker_that_cannot_be_forked_is_a_software_error_at_the_cli(capsys):
+    # not an I/O error (74): the sweep has no verdict, as when a worker fails
+    argv = ["verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--jobs", "2"]
+    with fixed_workers(2), failing_fork(1):
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EX_SOFTWARE, "")
+    assert err == f"error: verify worker 1 could not start: {NO_PROCESS}\n"
     assert_no_children()
 
 

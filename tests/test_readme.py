@@ -56,4 +56,4 @@ def test_library_examples():
         else:
             continue
         checked.append(note)
-    assert checked == [HOLDS, "146", "183"]
+    assert checked == [HOLDS, "146", "183", "41731200"]
