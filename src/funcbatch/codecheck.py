@@ -204,8 +204,8 @@ class Verdict(NamedTuple):
     the screened batches.  batches_searched counts the batches the sweep
     decided, screen included, whether first fit or the complete search
     decided them; it is smaller only when the symmetry reduction settles
-    batches without deciding them one by one, and larger at jobs > 1 when
-    workers decided batches past the settled prefix too.
+    batches without deciding them one by one, and larger only when forked
+    workers of the unreduced sweep decided batches past the settled prefix.
     """
 
     status: str
@@ -380,7 +380,8 @@ def _scan_forked(scan: Callable[[int], ScanResult], workers: int) -> list[ScanRe
     through a pipe with marshal and leaves with os._exit.  A child that
     cannot be forked, fails or dies makes this raise RuntimeError; whenever
     this raises, every child still running is killed and reaped first.
-    Results come back in worker order.
+    Results come back in worker order.  verify forks only the unreduced
+    sweep.
     """
     pipes: list[int] = []  # read end of child i's pipe at index i - 1
     running: list[int] = []  # pids not yet reaped, in child order
@@ -463,7 +464,8 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     module docstring), so the first failing representative is the
     lex-least counterexample, and both modes take this path with the same
     verdicts, counterexamples and counts as the full sweep; only
-    batches_searched differs.
+    batches_searched differs.  This sweep runs in this process at every
+    jobs: each forked worker would walk the whole stream, not its share.
 
     Every batch, screened or swept, is decided by _serves: greedy first fit
     over the recovery sets built so far, then over the next size, and the
@@ -471,29 +473,28 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     built one at a time, only when a batch needs them, so a sweep whose
     batches are all served by small sets never builds the large ones; the
     verdicts, counterexamples and counts are those of a sweep that builds
-    every size first.  Forked children inherit the sizes built before the
-    fork and build any further ones themselves.  budget_seconds is checked
-    before each batch, before each size is built and every 256 nodes of the
-    complete search; a batch it cuts off stays unsettled.
+    every size first.  budget_seconds is checked before each batch, before
+    each size is built and every 256 nodes of the complete search; a batch
+    it cuts off stays unsettled.
 
     budget_batches bounds the screened batches plus the lex prefix of the
     multisets the sweep may reach, the same prefix at every jobs.  The
-    sweep runs in W processes: jobs, but never more than the CPUs this
-    process may use (its affinity mask where the platform has one, else
-    os.cpu_count()) nor than the batches in that prefix.  Worker i is one
-    call, _scan over positions i, i + W, .. of the lex stream of (rank,
-    batch) pairs, the representatives or every multiset; this process is
-    worker 0 and forked child i is worker i.  Each process builds and
-    walks its own stream after the fork, so nothing is listed up front,
-    the work is dealt out evenly, and this process holds one stream at
-    every jobs.  Platforms without os.fork run one process.  Do not call
-    it with jobs > 1 from a process that runs threads.  Each process stops
-    at its first failure or cut-off and reports the first rank it left
-    unsettled; the settled prefix ends at the least of these, a failure
-    first at a tie.  A failure there is the lex-least one in the prefix.
-    A cut-off there makes the verdict undecided with deterministic=True,
-    as at jobs=1; otherwise the failure of least rank found past it, if
-    any, is the counterexample.
+    unreduced sweep runs in W processes: jobs, but never more than the
+    CPUs this process may use (its affinity mask where the platform has
+    one, else os.cpu_count()) nor than the batches in that prefix.  Worker
+    i is one call, _scan over positions i, i + W, .. of the lex stream of
+    (rank, multiset) pairs; this process is worker 0 and forked child i is
+    worker i, which inherits the sizes built before the fork.  Each process
+    builds and walks its own stream after the fork, so nothing is listed
+    up front, the work is dealt out evenly, and this process holds one
+    stream at every jobs.  Platforms without os.fork run one process.  Do
+    not call it with jobs > 1 from a process that runs threads.  Each
+    process stops at its first failure or cut-off and reports the first
+    rank it left unsettled; the settled prefix ends at the least of these,
+    a failure first at a tie.  A failure there is the lex-least one in the
+    prefix.  A cut-off there makes the verdict undecided with
+    deterministic=True, as at jobs=1; otherwise the failure of least rank
+    found past it, if any, is the counterexample.
     """
     check_int("t", t, 1)
     check_int("jobs", jobs, 1)
@@ -528,18 +529,15 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
 
     total = comb(q + t - 1, t)
     limit = within_budget(total)
-    invariant = _is_invariant(matrix)
-
-    def stream() -> Iterator[tuple[int, tuple[int, ...]]]:
-        if invariant:
-            return _representatives(q, t)
+    if _is_invariant(matrix):
+        results = [_scan(catalog, _representatives(q, t), limit, deadline)]
+    else:
         # the first limit multisets hold no query above limit, so a small budget
         # never builds the pool of all q queries
-        return enumerate(combinations_with_replacement(range(1, min(q, limit) + 1), t))
-
-    workers = max(1, min(_worker_count(jobs), limit))
-    results = _scan_forked(
-        lambda i: _scan(catalog, islice(stream(), i, None, workers), limit, deadline), workers)
+        queries = range(1, min(q, limit) + 1)
+        workers = max(1, min(_worker_count(jobs), limit))
+        results = _scan_forked(lambda i: _scan(catalog, islice(enumerate(
+            combinations_with_replacement(queries, t)), i, None, workers), limit, deadline), workers)
     searched += sum(result[1] for result in results)
     # the settled prefix ends at the least stop; at a tie a failure comes first,
     # since every rank below its stop, its own included, was then decided

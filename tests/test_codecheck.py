@@ -413,10 +413,9 @@ def test_time_budget_covers_catalog_building(monkeypatch, deterministic):
 
 @pytest.mark.parametrize("deterministic,screened", [(False, 15), (True, 0)])
 def test_time_budget_covers_listing_representatives(monkeypatch, tmp_path, deterministic, screened):
-    # each of two workers walks the representatives itself and logs each one
-    # it walks; in every process the clock passes the deadline once three are
-    # walked, so each worker stops at its next position: this process, which
-    # decides positions 0, 2, .., at position 2 and the child at position 3
+    # the reduced sweep runs in this process alone at jobs=2, which logs each
+    # representative it walks; the clock passes the deadline once three are
+    # walked, so the sweep stops at position 2 without deciding it
     clock = [0.0]
     deadline_passes_at = [3]
     log = tmp_path / "walked"
@@ -440,17 +439,17 @@ def test_time_budget_covers_listing_representatives(monkeypatch, tmp_path, deter
     ranks = [rank for rank, _ in real(15, 5)]
     with fixed_workers(2):
         v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
-        # the settled prefix ends at the representative this process left at
-        # position 2; the two before it were decided, one by each worker
+        # the settled prefix ends at the representative left at position 2;
+        # the two before it were decided
         assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
             UNDECIDED, None, screened + ranks[2], screened + 2)
-        assert walked_per_process() == [3, 4]
-        # with the clock standing still each worker walks all 20 and the run holds
+        assert walked_per_process() == [3]
+        # with the clock standing still the sweep walks all 20 and the run holds
         clock[0] = 0.0
         deadline_passes_at[0] = None
         v = verify(simplex(4), 5, 2, deterministic=deterministic, jobs=2, budget_seconds=10)
     assert (v.status, v.assignments_checked) == (HOLDS, screened + 11_628)
-    assert walked_per_process() == [20, 20]
+    assert walked_per_process() == [20]
 
 
 def test_time_budget_covers_the_complete_search(monkeypatch):
@@ -600,7 +599,7 @@ def test_verify_agrees_at_every_worker_count(case, deterministic, budget, jobs):
 @pytest.mark.parametrize("matrix,t", [
     # not invariant: the stream is every multiset
     (GeneratorMatrix(4, tuple(range(1, 16)) + (1,)), 4),
-    # invariant: the stream is the representatives
+    # invariant: the stream is the representatives, decided in this process alone
     (simplex(4), 6),
 ])
 def test_verify_interleaves_stream_positions_across_workers(monkeypatch, tmp_path, matrix, t):
@@ -622,10 +621,13 @@ def test_verify_interleaves_stream_positions_across_workers(monkeypatch, tmp_pat
         pid, *batch = map(int, line.split())
         decided.setdefault(pid, []).append(tuple(batch))
     q = 15
-    stream = ([batch for _, batch in _representatives(q, t)] if _is_invariant(matrix)
-              else list(combinations_with_replacement(range(1, q + 1), t)))
-    # process i decides exactly positions i, i + 3, .., so each batch once
-    assert sorted(decided.values()) == [stream[i::3] for i in range(3)]
+    if _is_invariant(matrix):
+        stream = [batch for _, batch in _representatives(q, t)]
+        assert decided == {os.getpid(): stream}
+    else:
+        stream = list(combinations_with_replacement(range(1, q + 1), t))
+        # process i decides exactly positions i, i + 3, .., so each batch once
+        assert sorted(decided.values()) == [stream[i::3] for i in range(3)]
     assert v.batches_searched == len(stream)
 
 
@@ -794,7 +796,7 @@ def lazy_catalog_cases(draw):
 def test_sizes_built_on_demand_match_the_full_catalog(case, deterministic, budget, jobs):
     """verify against the same sweep deciding every batch by the complete search over build_catalog.
 
-    jobs=1 runs in this process; jobs=2 forks one worker.
+    jobs=1 runs in this process; jobs=2 forks one worker unless the matrix is invariant.
     """
     matrix, t, r = case
     full = build_catalog(matrix, r)

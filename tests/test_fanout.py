@@ -1,7 +1,8 @@
 """Forked verify workers: same results as one process, failures surface, no child outlives verify.
 
 Each test fixes the usable CPU count by patching _worker_count, so the
-children are forked even where one CPU is usable.
+children are forked even where one CPU is usable.  Only the unreduced sweep
+forks: an invariant matrix's sweep runs in this process at every jobs.
 """
 
 import errno
@@ -15,11 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from funcbatch import cli, codecheck
+from funcbatch.cli import format_matrix
 from funcbatch.codecheck import FAILS, HOLDS, UNDECIDED, simplex, verify
 from funcbatch.gf2 import GeneratorMatrix
 
 # not invariant, so its full sweep walks all 84 multisets at t=3
 MATRIX = GeneratorMatrix(3, (1, 1, 0, 6, 7, 7, 2))
+# simplex(3) plus a repeated column: not invariant, and it holds at t=4, so
+# its screen passes and its full sweep walks all 210 multisets in workers
+HOLDING = GeneratorMatrix(3, tuple(range(1, 8)) + (1,))
 
 
 def assert_no_children():
@@ -40,6 +45,19 @@ def counted_forks():
         return real_fork()
 
     return forks, mock.patch.object(os, "fork", fork)
+
+
+def no_fork():
+    def fork():
+        raise AssertionError("os.fork called")
+
+    return mock.patch.object(os, "fork", fork)
+
+
+def holding_matrix_file(tmp_path):
+    path = tmp_path / "holding.txt"
+    path.write_text(format_matrix(HOLDING))
+    return str(path)
 
 
 # what os.fork raises when no process can be made
@@ -77,9 +95,9 @@ def in_children(action):
 def test_forked_sweep_matches_in_process(jobs, workers):
     forks, counting = counted_forks()
     with fixed_workers(1):
-        expected = verify(simplex(3), 4, 2, jobs=jobs)
+        expected = verify(HOLDING, 4, 2, jobs=jobs)
     with fixed_workers(workers), counting:
-        got = verify(simplex(3), 4, 2, jobs=jobs)
+        got = verify(HOLDING, 4, 2, jobs=jobs)
     assert len(forks) == workers - 1
     assert got.status == HOLDS
     assert (got.status, got.assignments_checked, got.batches_searched) == (
@@ -118,9 +136,29 @@ def test_the_parent_builds_its_stream_once_at_every_jobs(name, case):
     # memory does not grow with jobs
     matrix, t, r, deterministic = case
     pids, recording = calls_by_pid(name)
-    with fixed_workers(3), recording:
+    forks, counting = counted_forks()
+    with fixed_workers(3), recording, counting:
         verify(matrix, t, r, deterministic=deterministic, jobs=3)
     assert pids == [os.getpid()]
+    # the reduced sweep forks nothing; the full sweep forks two workers
+    assert len(forks) == (0 if name == "_representatives" else 2)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("matrix,t,status", [
+    (simplex(3), 4, HOLDS),
+    # the sweep fails at (1, 1, 1, 1, 1); without --deterministic the screen
+    # fails first, at (7, 7, 7, 7, 7)
+    (simplex(3), 5, FAILS),
+])
+def test_a_reduced_sweep_forks_nothing_at_any_jobs(matrix, t, status, deterministic):
+    one = verify(matrix, t, 2, deterministic=deterministic)
+    with fixed_workers(3), no_fork():
+        got = verify(matrix, t, 2, deterministic=deterministic, jobs=3)
+    assert got.status == status
+    assert (got.status, got.counterexample, got.assignments_checked, got.batches_searched) == (
+        one.status, one.counterexample, one.assignments_checked, one.batches_searched)
     assert_no_children()
 
 
@@ -196,9 +234,9 @@ def test_worker_death_surfaces_in_the_parent():
 
 
 @pytest.mark.parametrize("action", [boom_in_a_worker, lambda: os.kill(os.getpid(), signal.SIGKILL)])
-def test_a_failed_worker_is_a_software_error_at_the_cli(action, capsys):
+def test_a_failed_worker_is_a_software_error_at_the_cli(action, capsys, tmp_path):
     # not a falsification: exit 70, no verdict on stdout
-    argv = ["verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--jobs", "2"]
+    argv = ["verify", "--matrix", holding_matrix_file(tmp_path), "--t", "4", "--r", "2", "--jobs", "2"]
     with fixed_workers(2), in_children(action):
         code = cli.main(argv)
     out, err = capsys.readouterr()
@@ -223,9 +261,9 @@ def test_a_worker_that_cannot_be_forked_is_a_runtime_error():
     assert_no_children()
 
 
-def test_a_worker_that_cannot_be_forked_is_a_software_error_at_the_cli(capsys):
+def test_a_worker_that_cannot_be_forked_is_a_software_error_at_the_cli(capsys, tmp_path):
     # not an I/O error (74): the sweep has no verdict, as when a worker fails
-    argv = ["verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--jobs", "2"]
+    argv = ["verify", "--matrix", holding_matrix_file(tmp_path), "--t", "4", "--r", "2", "--jobs", "2"]
     with fixed_workers(2), failing_fork(1):
         code = cli.main(argv)
     out, err = capsys.readouterr()
@@ -254,7 +292,11 @@ def test_parent_exception_kills_and_reaps_the_workers():
 
 
 def test_normal_runs_leave_no_children():
-    with fixed_workers(2):
+    forks, counting = counted_forks()
+    with fixed_workers(2), counting:
         assert verify(MATRIX, 3, 2, deterministic=True, jobs=2).counterexample == (1, 2, 2)
+        assert len(forks) == 1
+        # the reduced sweep forks nothing
         assert verify(simplex(3), 4, 2, jobs=3).status == HOLDS
+        assert len(forks) == 1
     assert_no_children()
