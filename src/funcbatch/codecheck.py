@@ -62,7 +62,8 @@ def double_simplex(k: int) -> GeneratorMatrix:
     return GeneratorMatrix(k, cols + cols)
 
 
-def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
+def _level(matrix: GeneratorMatrix, size: int,
+           deadline: Optional[float] = None) -> defaultdict[int, list[int]]:
     """The independent sets of exactly size columns, keyed by xor, each list in increasing mask order.
 
     Over GF(2) a column set is a minimal recovery set for its xor exactly
@@ -77,6 +78,11 @@ def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
     scratch, and none of the subsets that contain a dependent prefix is
     visited.  Indices are tried in increasing order at every depth, so the
     sets come out in colex order, which is increasing mask order.
+
+    With a deadline (a time.monotonic() value) the clock is read on entry
+    and at each prefix that still needs two or more columns, and
+    TimeoutError is raised once it has passed; a prefix that needs one
+    column reads none, since it only appends.
     """
     out: defaultdict[int, list[int]] = defaultdict(list)
     columns = [(c, 1 << j) for j, c in enumerate(matrix.cols)]
@@ -87,12 +93,16 @@ def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
                 if c not in span:
                     out[total ^ c].append(mask | bit)
             return
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError("deadline passed while a size was built")
         # a prefix needs left - 1 more columns below its lowest index
         for j in range(left - 1, stop):
             c, bit = columns[j]
             if c not in span:
                 extend(left - 1, mask | bit, total ^ c, span | {v ^ c for v in span}, j)
 
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline passed before a size was built")
     if 1 <= size <= matrix.n:
         extend(size, 0, 0, {0}, matrix.n)
     return out
@@ -101,9 +111,10 @@ def _level(matrix: GeneratorMatrix, size: int) -> defaultdict[int, list[int]]:
 class RecoveryCatalog:
     """The minimal recovery sets of sizes 1..size for every query, grown one size at a time.
 
-    sets maps a query word to its column-set masks, sorted by size then by
-    mask.  A new catalog holds no sets (size 0); each grow() appends the
-    sets of the next size, up to depth = min(r, n).  Treat sets as
+    Its fields are k, n, r, size and sets.  sets maps a query word to its
+    column-set masks, sorted by size then by mask.  A new catalog holds no
+    sets (size 0); grow() is the one place a size is built, and it appends
+    the sets of the next size until size is min(r, n).  Treat sets as
     read-only outside this class.
     """
 
@@ -113,24 +124,33 @@ class RecoveryCatalog:
         self.k = matrix.k
         self.n = matrix.n
         self.r = r
-        self.depth = min(r, matrix.n)
         self.size = 0
         self.sets: dict[int, tuple[int, ...]] = {}
 
-    def grow(self) -> None:
-        """Build the sets of the next size and append them to each query's sets; at depth, none."""
-        if self.size == self.depth:
-            return
+    def grow(self, deadline: Optional[float] = None) -> bool:
+        """Append the sets of the next size to each query's sets; whether a size was built.
+
+        At size min(r, n) it builds nothing and returns False.  Otherwise
+        _level builds the next size; with a deadline (a time.monotonic()
+        value) it reads the clock on entry and while it builds, and raises
+        TimeoutError once the deadline has passed.  size and sets change
+        only after _level returns, so a cut-off leaves them as they were.
+        """
+        # size counts up from 0, so it meets min(r, n) at the first of r and n;
+        # this test is cheaper than calling min, on every batch that first fit misses
+        if self.size in (self.r, self.n):
+            return False
+        level = _level(self._matrix, self.size + 1, deadline)
         self.size += 1
-        level = _level(self._matrix, self.size)
         # pop each query's list as it is appended, so it is not held twice
         while level:
             alpha, masks = level.popitem()
             self.sets[alpha] = self.sets.get(alpha, ()) + tuple(masks)
+        return True
 
 
 def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
-    """The catalog of every minimal recovery set of size <= r, grown to depth.
+    """The catalog of every minimal recovery set of size <= r, grown until grow() returns False.
 
     They are the independent sets of at most r columns, keyed by their xor:
     _level builds each size 1..min(r, n) in increasing mask order, and the
@@ -139,8 +159,8 @@ def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
     one size at a time, only as far as its batches need it.
     """
     catalog = RecoveryCatalog(matrix, r)
-    while catalog.size < catalog.depth:
-        catalog.grow()
+    while catalog.grow():
+        pass
     return catalog
 
 
@@ -148,21 +168,19 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
                              deadline: Optional[float] = None) -> Optional[list[int]]:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
-    Grows the catalog to depth first, so a partly built one answers as
-    build_catalog's would.  Backtracks over queries ordered by ascending
-    candidate count; candidates are tried smallest set first.  Prunes when
-    the remaining queries' minimum set sizes exceed the free columns.  With
-    a deadline (a time.monotonic() value) the clock is read before each
-    size is built and every 256 search nodes, and TimeoutError is raised
-    once it has passed.
+    First grows the catalog until grow() returns False, so a partly built
+    one answers as build_catalog's would.  Backtracks over queries ordered
+    by ascending candidate count; candidates are tried smallest set first.
+    Prunes when the remaining queries' minimum set sizes exceed the free
+    columns.  With a deadline (a time.monotonic() value) the clock is read
+    before and while each size is built and every 256 search nodes, and
+    TimeoutError is raised once it has passed.
     """
     for w in batch:
         if not isinstance(w, int) or not 1 <= w < 1 << catalog.k:
             raise ValueError(f"query {w!r} is not a nonzero {catalog.k}-bit vector")
-    while catalog.size < catalog.depth:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline passed before the catalog was built")
-        catalog.grow()
+    while catalog.grow(deadline):
+        pass
     cands = [catalog.sets.get(w, ()) for w in batch]
     if not all(cands):
         return None
@@ -318,16 +336,17 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
     first set disjoint from the columns already taken, among the sizes built
     so far.  Each query's sets are sorted by size then mask, so a first fit
     that reaches the end picks exactly the sets it would pick with every
-    size up to r built, and is a valid disjoint assignment.  On a miss the
-    next size is built and first fit runs again; with every size built,
-    find_disjoint_assignment's complete search decides on this catalog.
-    Raises TimeoutError once the deadline has passed: the clock is read
-    before the batch, before each size is built and every 256 search nodes.
+    size up to r built, and is a valid disjoint assignment.  On a miss
+    grow() builds the next size and first fit runs again; once grow()
+    builds nothing, find_disjoint_assignment's complete search decides on
+    this catalog.  Raises TimeoutError once the deadline has passed: the
+    clock is read once before the batch, before and while each size is
+    built, and every 256 search nodes.
     """
     sets = catalog.sets
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline passed before the batch was decided")
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError("deadline passed before the batch was decided")
         used = 0
         for w in reversed(batch):
             for mask in sets.get(w, ()):
@@ -338,9 +357,8 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
                 break
         else:
             return True
-        if catalog.size == catalog.depth:
+        if not catalog.grow(deadline):
             return find_disjoint_assignment(catalog, batch, deadline=deadline) is not None
-        catalog.grow()
 
 
 # (stop, searched, failure) of one scan
@@ -474,8 +492,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     batches are all served by small sets never builds the large ones; the
     verdicts, counterexamples and counts are those of a sweep that builds
     every size first.  budget_seconds is checked before each batch, before
-    each size is built and every 256 nodes of the complete search; a batch
-    it cuts off stays unsettled.
+    and while each size is built (see _level) and every 256 nodes of the
+    complete search; a batch it cuts off stays unsettled, and a size it
+    cuts off is not kept.
 
     budget_batches bounds the screened batches plus the lex prefix of the
     multisets the sweep may reach, the same prefix at every jobs.  The

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, count, product
 from pathlib import Path
 from unittest import mock
 
@@ -138,13 +138,12 @@ def test_catalog_matches_subset_enumeration_random(case):
 
 
 def test_grow_at_depth_builds_nothing():
-    # two columns at cap 1: past depth, grow() used to build the pair {1, 2}
-    # (query 3), and then a size past n
+    # two columns at cap 1: once size 1 is built, grow() used to build the
+    # pair {1, 2} (query 3), and then a size past n
     m = GeneratorMatrix(2, (1, 2))
     cat = RecoveryCatalog(m, 1)
-    for _ in range(3):
-        cat.grow()
-    assert (cat.size, cat.depth) == (1, 1)
+    assert [cat.grow() for _ in range(3)] == [True, False, False]
+    assert cat.size == 1
     assert cat.sets == build_catalog(m, 1).sets == {1: (1,), 2: (2,)}
     assert find_disjoint_assignment(cat, (3,)) is None
 
@@ -154,10 +153,36 @@ def test_grow_at_depth_builds_nothing():
 def test_grow_past_depth_keeps_the_catalog(case, extra):
     matrix, r = case
     cat = RecoveryCatalog(matrix, r)
-    for _ in range(cat.depth + extra):
-        cat.grow()
-    assert cat.size == cat.depth
-    assert cat.sets == build_catalog(matrix, r).sets
+    # grow() builds a size exactly min(r, n) times, then builds nothing
+    assert [cat.grow() for _ in range(min(r, matrix.n))] == [True] * min(r, matrix.n)
+    sets = dict(cat.sets)
+    assert [cat.grow() for _ in range(1 + extra)] == [False] * (1 + extra)
+    assert cat.size == min(r, matrix.n)
+    assert cat.sets == sets == build_catalog(matrix, r).sets
+
+
+def test_grow_cut_off_while_building_keeps_the_catalog(monkeypatch):
+    # sizes 1 and 2 of simplex:4 at cap 3 are built with no deadline; while
+    # size 3 is built the clock passes the deadline at its fifth read, once
+    # _level has read it on entry and at three prefixes
+    matrix = simplex(4)
+    cat = RecoveryCatalog(matrix, 3)
+    assert cat.grow() and cat.grow()
+    sets = dict(cat.sets)
+    reads = []
+
+    def monotonic():
+        reads.append(None)
+        return 0.0 if len(reads) < 5 else 100.0
+
+    monkeypatch.setattr(codecheck.time, "monotonic", monotonic)
+    with pytest.raises(TimeoutError):
+        cat.grow(10.0)
+    assert len(reads) == 5
+    assert (cat.size, cat.sets) == (2, sets)
+    # a later grow() builds size 3 whole, as build_catalog does
+    assert cat.grow() and not cat.grow()
+    assert cat.sets == build_catalog(matrix, 3).sets
 
 
 def test_catalog_simplex7_r3_sizes():
@@ -378,12 +403,12 @@ def test_verify_rejects_counts_that_are_not_ints(arg, value):
 
 
 def counted_levels(monkeypatch, on_build=lambda size: None):
-    """Record the size of every _level call verify makes; on_build runs after each."""
+    """Record the size of every _level call that returns; on_build runs after each."""
     sizes = []
     real = codecheck._level
 
-    def level(matrix, size):
-        out = real(matrix, size)
+    def level(matrix, size, deadline=None):
+        out = real(matrix, size, deadline)
         sizes.append(size)
         on_build(size)
         return out
@@ -395,8 +420,8 @@ def counted_levels(monkeypatch, on_build=lambda size: None):
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_time_budget_covers_catalog_building(monkeypatch, deterministic):
     # the first batch, (3, 3) in the screen or (1, 1) in lex order, needs a
-    # pair; the clock passes the deadline while size 1 is built, so size 2 is
-    # never built and the batch stays unsettled
+    # pair; the clock passes the deadline while size 1 is built, so building
+    # size 2 is cut off on entry and the batch stays unsettled
     clock = [0.0]
     after_build = [100.0]
     monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
@@ -489,6 +514,16 @@ def test_verify_simplex7_r4_runs_in_512_mib():
     # every set of up to 4 of the 127 columns would take over 500 MiB
     proc = run_capped("verify", "--construct", "simplex:7", "--t", "2", "--r", "4", mib=512)
     assert (proc.returncode, proc.stdout) == (0, "holds\n"), proc.stderr
+
+
+@pytest.mark.parametrize("args", [("--t", "64", "--deterministic"), ("--t", "127")])
+def test_time_budget_bounds_building_a_size_in_256_mib(args):
+    # both sweeps need size 4 of simplex:7, over 500 MiB of sets; the clock
+    # is read while a size is built, so the budget cuts it off instead of
+    # the address space (the checked count depends on timing)
+    proc = run_capped("verify", "--construct", "simplex:7", "--r", "4", *args,
+                      "--budget-seconds", "0.3")
+    assert (proc.returncode, proc.stdout) == (2, "undecided\n"), proc.stderr
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -660,14 +695,62 @@ def test_first_fit_decider_matches_search_and_oracle(case, data):
     cat = build_catalog(matrix, r)
     expected = brute_force_serves(subset_catalog_oracle(matrix, r), batch)
     masks = find_disjoint_assignment(cat, batch)
-    # the complete search grows a fresh catalog to full depth first, so it
-    # picks the same masks on it as on cat
+    # the complete search grows a fresh catalog until grow() builds nothing,
+    # so it picks the same masks on it as on cat
     fresh = RecoveryCatalog(matrix, r)
     assert find_disjoint_assignment(fresh, batch) == masks
-    assert fresh.size == fresh.depth and fresh.sets == cat.sets
+    assert fresh.size == min(r, matrix.n)
+    assert not fresh.grow() and fresh.sets == cat.sets
     # _serves grows a fresh catalog only as far as the batch needs
     assert _serves(RecoveryCatalog(matrix, r), batch, None) == _serves(cat, batch, None) == (
         masks is not None) == expected
+
+
+@st.composite
+def invariant_matrices(draw):
+    """Every nonzero vector as a column equally often, in any order, maybe with a zero column."""
+    k = draw(st.integers(1, 3))
+    cols = list(range(1, 1 << k)) * draw(st.integers(1, 2)) + [0] * draw(st.integers(0, 1))
+    return GeneratorMatrix(k, tuple(draw(st.permutations(cols)))), draw(st.integers(1, 4)), draw(
+        st.integers(1, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_matrices() | invariant_matrices(), st.booleans(), st.sampled_from([1, 2]),
+       st.integers(0, 30))
+def test_time_budget_never_misreports(case, deterministic, jobs, budget):
+    """A clock that ticks at every read cuts the sweep off anywhere, building a size included.
+
+    Budgets of up to 30 reads leave about one run in six undecided, half of
+    those cut off in _level.
+    """
+    matrix, t, r = case
+    expected = verify(matrix, t, r, deterministic=deterministic)
+    ticks = count()
+    reads = []
+    built = []  # (deadline, clock values read) of each _level call that returned
+    real = codecheck._level
+
+    def monotonic():
+        reads.append(next(ticks))
+        return reads[-1]
+
+    def level(matrix, size, deadline=None):
+        start = len(reads)
+        out = real(matrix, size, deadline)
+        built.append((deadline, reads[start:]))
+        return out
+
+    with mock.patch.object(codecheck.time, "monotonic", monotonic), \
+            mock.patch.object(codecheck, "_level", level), fixed_workers(jobs):
+        v = verify(matrix, t, r, deterministic=deterministic, jobs=jobs, budget_seconds=budget)
+    assert v.status in (UNDECIDED, expected.status)
+    if v.status == FAILS:
+        assert not brute_force_serves(subset_catalog_oracle(matrix, r), v.counterexample)
+        if deterministic:
+            assert v.counterexample == expected.counterexample
+    # each size this process built read the clock, and never past the deadline
+    assert all(values and max(values) <= deadline for deadline, values in built)
 
 
 def test_serves_past_its_deadline_raises_and_builds_no_size(monkeypatch):
@@ -676,14 +759,14 @@ def test_serves_past_its_deadline_raises_and_builds_no_size(monkeypatch):
     with pytest.raises(TimeoutError):
         _serves(catalog, (7, 7), time.monotonic() - 1)
     assert (catalog.size, catalog.sets, sizes) == (0, {}, [])
-    # the complete search grows the same catalog to depth and serves the batch
+    # the complete search grows the same catalog to size 2 and serves the batch
     assert find_disjoint_assignment(catalog, (7, 7)) == [64, 12]
     assert (catalog.size, sizes) == (2, [1, 2])
 
 
 def test_search_past_its_deadline_raises_and_builds_no_size():
-    # the clock is read before each size is built, so a search handed a
-    # passed deadline builds none of simplex:7's 338,836 sets of size <= 3
+    # _level reads the clock on entry, so a search handed a passed deadline
+    # builds none of simplex:7's 338,836 sets of size <= 3
     catalog = RecoveryCatalog(simplex(7), 3)
     with pytest.raises(TimeoutError):
         find_disjoint_assignment(catalog, (127,), deadline=time.monotonic() - 1)
