@@ -37,7 +37,7 @@ import marshal
 import os
 import time
 from collections import defaultdict
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb, isnan
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
@@ -318,6 +318,23 @@ def _representatives(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     return extend(0, 0, 0, t)
 
 
+def _multisets(q: int, t: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rank, multiset) of every multiset of t queries over 1..q, in lex order.
+
+    The same stream as enumerate(combinations_with_replacement(range(1,
+    q + 1), t)), built from the pools range(1, p + 1) for p = 1, 2, 4, ..
+    below q and then q.  The first p multisets are (1, .., 1, v) for v <= p,
+    so they hold no query above p and come first in pool p's stream too:
+    stage p yields the ranks p/2 .. p - 1 of its own stream (rank 0 at
+    p = 1), and stage q the rest.  So reading the first N pairs builds no
+    pool of more than 2N queries, and every pair still comes from C code.
+    """
+    stops = [1 << j for j in range(q.bit_length()) if 1 << j < q]
+    return chain.from_iterable(
+        islice(enumerate(combinations_with_replacement(range(1, p + 1), t)), start, stop)
+        for p, start, stop in zip(stops + [q], [0] + stops, stops + [None]))
+
+
 def _worker_count(jobs: int) -> int:
     """Processes to run: never more than requested or than usable CPUs.
 
@@ -506,14 +523,17 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     worker i, which inherits the sizes built before the fork.  Each process
     builds and walks its own stream after the fork, so nothing is listed
     up front, the work is dealt out evenly, and this process holds one
-    stream at every jobs.  Platforms without os.fork run one process.  Do
-    not call it with jobs > 1 from a process that runs threads.  Each
-    process stops at its first failure or cut-off and reports the first
-    rank it left unsettled; the settled prefix ends at the least of these,
-    a failure first at a tie.  A failure there is the lex-least one in the
-    prefix.  A cut-off there makes the verdict undecided with
-    deterministic=True, as at jobs=1; otherwise the failure of least rank
-    found past it, if any, is the counterexample.
+    stream at every jobs.  The stream is _multisets, whose query pools
+    grow only as far as its ranks reach, so under either budget no
+    process holds a pool of more than about twice the ranks it reached.
+    Platforms without os.fork run one process.  Do not call it with
+    jobs > 1 from a process that runs threads.  Each process stops at its
+    first failure or cut-off and reports the first rank it left unsettled;
+    the settled prefix ends at the least of these, a failure first at a
+    tie.  A failure there is the lex-least one in the prefix.  A cut-off
+    there makes the verdict undecided with deterministic=True, as at
+    jobs=1; otherwise the failure of least rank found past it, if any, is
+    the counterexample.
     """
     check_int("t", t, 1)
     check_int("jobs", jobs, 1)
@@ -551,12 +571,9 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     if _is_invariant(matrix):
         results = [_scan(catalog, _representatives(q, t), limit, deadline)]
     else:
-        # the first limit multisets hold no query above limit, so a small budget
-        # never builds the pool of all q queries
-        queries = range(1, min(q, limit) + 1)
         workers = max(1, min(_worker_count(jobs), limit))
-        results = _scan_forked(lambda i: _scan(catalog, islice(enumerate(
-            combinations_with_replacement(queries, t)), i, None, workers), limit, deadline), workers)
+        results = _scan_forked(lambda i: _scan(
+            catalog, islice(_multisets(q, t), i, None, workers), limit, deadline), workers)
     searched += sum(result[1] for result in results)
     # the settled prefix ends at the least stop; at a tie a failure comes first,
     # since every rank below its stop, its own included, was then decided

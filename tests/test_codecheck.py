@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 import time
-from itertools import chain, combinations, combinations_with_replacement, count, product
+from itertools import (chain, combinations, combinations_with_replacement, count, islice, product, starmap,
+                       zip_longest)
+from operator import eq
 from pathlib import Path
 from unittest import mock
 
@@ -21,6 +23,7 @@ from funcbatch.codecheck import (
     RecoveryCatalog,
     _heaviest_first,
     _is_invariant,
+    _multisets,
     _representatives,
     _serves,
     _worker_count,
@@ -550,24 +553,56 @@ def test_verify_batch_budget_bounds_the_screen_at_k24(tmp_path):
     assert proc.stderr.startswith("checked 10 batches ")
 
 
-@pytest.mark.parametrize("t, counterexample", [(1, "7"), (2, "1 1")])
-def test_verify_batch_budget_bounds_the_deterministic_pool_at_k24(tmp_path, t, counterexample):
+@pytest.mark.parametrize("t, counterexample, budget", [
+    pytest.param(1, "7", ("--budget-batches", "10"), id="1-7"),
+    pytest.param(2, "1 1", ("--budget-batches", "10"), id="2-1 1"),
+    pytest.param(1, "7", ("--budget-seconds", "1"), id="1-7-budget-seconds"),
+    pytest.param(2, "1 1", ("--budget-seconds", "1"), id="2-1 1-budget-seconds"),
+])
+def test_verify_batch_budget_bounds_the_deterministic_pool_at_k24(tmp_path, t, counterexample, budget):
     # the unreduced sweep once built a pool of all 2^24 - 1 queries before its
-    # first batch; the lex-least counterexample lies within the budget
+    # first batch, and a time budget alone did not bound it; the lex-least
+    # counterexample lies within either budget
     start = time.monotonic()
     proc = run_capped("verify", "--matrix", units_and_ones_file(tmp_path), "--t", str(t), "--r", "2",
-                      "--budget-batches", "10", "--deterministic")
+                      *budget, "--deterministic")
     assert time.monotonic() - start < 5
     assert (proc.returncode, proc.stdout) == (1, f"fails\n{counterexample}\n"), proc.stderr
 
 
 @pytest.mark.skipif(_worker_count(2) < 2, reason="needs 2 usable CPUs")
 def test_verify_jobs_does_not_multiply_the_parents_pool_at_k22(tmp_path):
-    # each process builds its own pool of 2^22 - 1 queries after the fork; a
-    # parent that built one pool per worker ran out of memory here
+    # each process builds its own pools after the fork, and only as far as
+    # its ranks reach, so no process holds a pool of all 2^22 - 1 queries
     proc = run_capped("verify", "--matrix", units_and_ones_file(tmp_path, 22), "--t", "2", "--r", "2",
-                      "--deterministic", "--jobs", "2", "--budget-seconds", "2", mib=256)
+                      "--deterministic", "--jobs", "2", "--budget-seconds", "2", mib=128)
     assert (proc.returncode, proc.stdout) == (1, "fails\n1 1\n"), proc.stderr
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_multisets_is_the_lex_stream_of_all_multisets(t):
+    # at most C(44, 5) = 1,086,008 multisets per q
+    for q in range(1, 41):
+        expected = enumerate(combinations_with_replacement(range(1, q + 1), t))
+        assert all(starmap(eq, zip_longest(_multisets(q, t), expected))), q
+
+
+@pytest.mark.parametrize("q, t, n, largest", [
+    (1 << 24, 2, 10, 16),
+    (1 << 24, 1, 1000, 1024),
+    (1 << 20, 3, 5000, 8192),
+])
+def test_multisets_builds_pools_only_as_far_as_its_ranks_reach(q, t, n, largest):
+    pools = []
+    real = codecheck.combinations_with_replacement
+
+    def recording(pool, size):
+        pools.append(len(pool))
+        return real(pool, size)
+
+    with mock.patch.object(codecheck, "combinations_with_replacement", recording):
+        assert [rank for rank, _ in islice(_multisets(q, t), n)] == list(range(n))
+    assert max(pools) == largest <= 2 * n
 
 
 def test_verify_batch_budget_bounds_the_reduced_sweep_at_huge_t():

@@ -129,7 +129,7 @@ def calls_by_pid(name):
 
 @pytest.mark.parametrize("name,case", [
     ("_representatives", (simplex(3), 4, 2, False)),
-    ("combinations_with_replacement", (MATRIX, 3, 2, True)),
+    ("_multisets", (MATRIX, 3, 2, True)),
 ])
 def test_the_parent_builds_its_stream_once_at_every_jobs(name, case):
     # each worker builds its own stream after the fork, so the parent's
