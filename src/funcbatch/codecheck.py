@@ -170,11 +170,16 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
 
     First grows the catalog until grow() returns False, so a partly built
     one answers as build_catalog's would.  Backtracks over queries ordered
-    by ascending candidate count; candidates are tried smallest set first.
-    Prunes when the remaining queries' minimum set sizes exceed the free
-    columns.  With a deadline (a time.monotonic() value) the clock is read
-    before and while each size is built and every 256 search nodes, and
-    TimeoutError is raised once it has passed.
+    by ascending candidate count, copies of one query together; candidates
+    are tried smallest set first.  Prunes when the remaining queries'
+    minimum set sizes exceed the free columns, and a copy that follows a
+    copy of the same query tries only the candidates after the one that
+    copy took: copies share one candidate list and disjoint nonempty masks
+    are distinct, so any assignment can be reordered to take them in
+    increasing order and the search stays complete.  With a deadline (a
+    time.monotonic() value) the clock is read before and while each size is
+    built and every 256 search nodes, and TimeoutError is raised once it
+    has passed.
     """
     for w in batch:
         if not isinstance(w, int) or not 1 <= w < 1 << catalog.k:
@@ -184,7 +189,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
     cands = [catalog.sets.get(w, ()) for w in batch]
     if not all(cands):
         return None
-    order = sorted(range(len(batch)), key=lambda i: len(cands[i]))
+    order = sorted(range(len(batch)), key=lambda i: (len(cands[i]), batch[i]))
     min_size = [cands[i][0].bit_count() for i in order]
     suffix_need = [0] * (len(order) + 1)
     for pos in range(len(order) - 1, -1, -1):
@@ -193,7 +198,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
     n = catalog.n
     nodes = 0
 
-    def extend(pos: int, used: int) -> bool:
+    def extend(pos: int, used: int, lo: int) -> bool:
         nonlocal nodes
         if pos == len(order):
             return True
@@ -202,15 +207,19 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
         nodes += 1
         if deadline is not None and not nodes & 255 and time.monotonic() > deadline:
             raise TimeoutError("deadline passed during the assignment search")
-        for mask in cands[order[pos]]:
+        i = order[pos]
+        c = cands[i]
+        repeat = pos + 1 < len(order) and batch[order[pos + 1]] == batch[i]
+        for j in range(lo, len(c)):
+            mask = c[j]
             if mask & used:
                 continue
-            chosen[order[pos]] = mask
-            if extend(pos + 1, used | mask):
+            chosen[i] = mask
+            if extend(pos + 1, used | mask, j + 1 if repeat else 0):
                 return True
         return False
 
-    return chosen if extend(0, 0) else None
+    return chosen if extend(0, 0, 0) else None
 
 
 class Verdict(NamedTuple):

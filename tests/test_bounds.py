@@ -160,7 +160,6 @@ def test_min_n_exact_past_k10_pinned_by_closed_form(k, n):
     assert min_n_exact(k, t, 2) == n
 
 
-@pytest.mark.stretch
 def test_min_n_exact_k13_pinned_by_closed_form_stretch():
     t, rhs = 8192, 8191 ** 8192
     assert r2_count_closed_form(8888, t) >= rhs > r2_count_closed_form(8887, t)

@@ -470,7 +470,6 @@ def test_verify_golden(tmp_path, source, t, mode, budget):
         assert (code, out, int(checked.group(1))) == VERIFY_GOLDENS[source, t, mode, budget], jobs
 
 
-@pytest.mark.stretch
 def test_verify_double4_t16_holds_stretch():
     # the doubled simplex of length 30 serves every batch of 16 queries at k = 4
     code, out, err = run_cli("verify", "--construct", "double:4", "--t", "16", "--r", "2")
