@@ -672,3 +672,80 @@ def test_matrix_parser_errors_carry_line_numbers():
 def test_missing_subcommand_is_usage_error():
     code, _, err = run_cli()
     assert code == EX_USAGE and "error:" in err
+
+
+# argparse's usage errors, byte for byte, as argv -> (exit code, stdout, stderr);
+# the same on CPython 3.10-3.13
+_V = ("verify", "--construct", "simplex:2", "--t", "2", "--r", "2")
+USAGE_GOLDENS = {
+    (): (64, "", "error: the following arguments are required: command\n"),
+    ("tabulate",): (64, "", "error: argument command: invalid choice: 'tabulate' "
+                            "(choose from 'count', 'minn', 'table', 'verify', 'construct')\n"),
+    ("--bogus",): (64, "", "error: the following arguments are required: command\n"),
+    ("count", "--n", "1", "--t", "1"):
+        (64, "", "error: the following arguments are required: --r\n"),
+    # a missing flag is reported before the --matrix/--construct pair
+    ("verify", "--t", "2"): (64, "", "error: the following arguments are required: --r\n"),
+    ("count", "--n", "x", "--t", "1", "--r", "1"):
+        (64, "", "error: argument --n: invalid int value: 'x'\n"),
+    _V + ("--budget-seconds", "soon"):
+        (64, "", "error: argument --budget-seconds: invalid float value: 'soon'\n"),
+    ("table", "--which", "4"): (64, "", "error: argument --which: invalid choice: 4 (choose from 2, 3)\n"),
+    ("table", "--which", "x"): (64, "", "error: argument --which: invalid int value: 'x'\n"),
+    ("minn", "--k", "3", "--t", "2", "--bound", "nope"):
+        (64, "", "error: argument --bound: invalid choice: 'nope' "
+                 "(choose from 'exact', 'product', 'amgm', 'chain', 'sqrt', 'baseline')\n"),
+    ("count", "--n", "1", "--t", "1", "--r"):
+        (64, "", "error: argument --r: expected one argument\n"),
+    # -inf is not a negative number to argparse, so it reads as an option
+    _V + ("--budget-seconds", "-inf"):
+        (64, "", "error: argument --budget-seconds: expected one argument\n"),
+    _V + ("--b", "1"):
+        (64, "", "error: ambiguous option: --b could match --budget-seconds, --budget-batches\n"),
+    # every word is read as an option or not before any value is converted
+    ("verify", "--t", "x", "--b"):
+        (64, "", "error: ambiguous option: --b could match --budget-seconds, --budget-batches\n"),
+    ("verify", "--matrix", "m.txt", "--construct", "simplex:2", "--t", "2", "--r", "2"):
+        (64, "", "error: argument --construct: not allowed with argument --matrix\n"),
+    ("verify", "--t", "2", "--r", "2"):
+        (64, "", "error: one of the arguments --matrix --construct is required\n"),
+    _V + ("--pretty=1",): (64, "", "error: argument --pretty: ignored explicit argument '1'\n"),
+    ("count", "--n", "1", "--t", "1", "--r", "1", "stray"):
+        (64, "", "error: unrecognized arguments: stray\n"),
+    # a missing flag is reported before any unrecognized word
+    ("count", "--n", "1", "--t", "1", "stray", "--bogus=1"):
+        (64, "", "error: the following arguments are required: --r\n"),
+    ("count", "--n", "1", "--bogus=1", "--t", "1", "--r", "1", "stray"):
+        (64, "", "error: unrecognized arguments: --bogus=1 stray\n"),
+    ("--bogus", "count", "--n", "1", "--t", "1", "--r", "1"):
+        (64, "", "error: unrecognized arguments: --bogus\n"),
+    # a negative number is a value, so the engine rejects it
+    ("count", "--n", "-1", "--t", "1", "--r", "1"): (64, "", "error: n must be nonnegative\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_GOLDENS), ids=lambda argv: " ".join(argv) or "-")
+def test_usage_golden(argv):
+    assert run_cli(*argv) == USAGE_GOLDENS[argv]
+
+
+# spellings argparse accepts: --flag=value, unique prefixes, the last repeat
+# winning and negative values; argv -> (exit code, stdout)
+FLAG_SPELLINGS = {
+    ("count", "--n=10", "--t", "8", "--r=2"): (EX_OK, "41731200\n"),
+    ("count", "--n", "3", "--t", "8", "--r", "2", "--n", "10"): (EX_OK, "41731200\n"),
+    ("minn", "--k", "5", "--t", "32", "--b", "exact"): (EX_OK, "38\n"),
+    ("minn", "--k=5", "--t", "32", "--bound=sqrt", "--r", "-1"): (EX_OK, "31\n"),
+    ("verify", "--construct", "simplex:3", "--t", "4", "--r", "2", "--budget-b", "5"):
+        (EX_UNDECIDED, "undecided\n"),
+    ("verify", "--c=simplex:3", "--t", "5", "--r", "2", "--det", "--p"):
+        (EX_FALSIFIED, "fails\n100 100 100 100 100\n"),
+    ("verify", "--construct", "simplex:3", "--t", "5", "--r", "2", "--budget-s=-1"): (EX_USAGE, ""),
+    ("construct", "--which", "double", "--which", "simplex", "--k", "2"):
+        (EX_OK, "2 3\n1 0 1\n0 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("argv", list(FLAG_SPELLINGS), ids=" ".join)
+def test_flag_spellings(argv):
+    assert run_cli(*argv)[:2] == FLAG_SPELLINGS[argv]
