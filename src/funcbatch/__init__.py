@@ -9,8 +9,6 @@ certification, reproduces the bound comparison tables, and exhaustively
 verifies the disjoint-recovery property for concrete generator matrices.
 """
 
-import importlib
-
 # the largest dimension k of a code; both engines check it, so it lives here,
 # which every launch loads, rather than in either engine
 MAX_DIMENSION = 24
@@ -58,10 +56,13 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
+        # the import statement's machinery, not importlib's: importing the package
+        # loads no module beyond it, and -X importtime lists the submodule
+        __import__(f"{__name__}.{name}")  # binds the submodule in globals()
+        return globals()[name]
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    value = getattr(__getattr__(_MODULE_OF[name]), name)
     globals()[name] = value
     return value
 

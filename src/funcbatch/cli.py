@@ -1,13 +1,12 @@
 """Command-line front end: counting, bound solvers, table emission, matrix I/O, verification."""
 
-from __future__ import annotations
-
-import argparse
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from funcbatch import BOUND_IDS
 
+# no import of typing, and no annotation evaluated at import, so that a launch
+# loads nothing the interpreter has not loaded already
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from funcbatch.bounds import BoundOutcome
     from funcbatch.gf2 import GeneratorMatrix
@@ -26,11 +25,11 @@ class UsageError(Exception):
 
 
 class MatrixFormatError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None) -> None:
+    def __init__(self, message: str, line: int | None = None) -> None:
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def parse_matrix(text: str) -> GeneratorMatrix:
+def parse_matrix(text: str) -> "GeneratorMatrix":
     """Parse the text matrix format: a 'k n' header, then k rows of n 0/1 digits.
 
     Lines starting with '#' and blank lines are skipped.  Row i supplies bit
@@ -38,7 +37,7 @@ def parse_matrix(text: str) -> GeneratorMatrix:
     """
     from funcbatch.gf2 import GeneratorMatrix
 
-    header: Optional[tuple[int, int]] = None
+    header: tuple[int, int] | None = None
     cols: list[int] = []
     row = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -78,14 +77,14 @@ def parse_matrix(text: str) -> GeneratorMatrix:
         raise MatrixFormatError(str(exc)) from None
 
 
-def format_matrix(matrix: GeneratorMatrix) -> str:
+def format_matrix(matrix: "GeneratorMatrix") -> str:
     """The text matrix format of parse_matrix: row i holds bit i of each column."""
     lines = [f"{matrix.k} {matrix.n}"]
     lines += [" ".join(str(c >> i & 1) for c in matrix.cols) for i in range(matrix.k)]
     return "\n".join(lines) + "\n"
 
 
-def _cell_text(outcome: BoundOutcome) -> str:
+def _cell_text(outcome: "BoundOutcome") -> str:
     if outcome.vacuous:
         return "-"
     if outcome.clamped:
@@ -115,7 +114,7 @@ def _table_csv(which: int) -> str:
     return "\n".join(lines + notes) + "\n"
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: "_Args") -> int:
     from decimal import Decimal
 
     from funcbatch.counting import labelling_counter
@@ -126,7 +125,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _cmd_minn(args: argparse.Namespace) -> int:
+def _cmd_minn(args: "_Args") -> int:
     from funcbatch import bounds
 
     k, t, r = args.k, args.t, 2 if args.r is None else args.r
@@ -145,7 +144,7 @@ def _cmd_minn(args: argparse.Namespace) -> int:
     return EX_OK
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -153,12 +152,12 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: "_Args") -> int:
     _write_text(args.out, _table_csv(args.which))
     return EX_OK
 
 
-def _construct(name: str, k: int) -> GeneratorMatrix:
+def _construct(name: str, k: int) -> "GeneratorMatrix":
     from funcbatch import codecheck
 
     builders = {"simplex": codecheck.simplex, "double": codecheck.double_simplex}
@@ -167,11 +166,12 @@ def _construct(name: str, k: int) -> GeneratorMatrix:
     return builders[name](k)
 
 
-def _load_matrix(args: argparse.Namespace) -> GeneratorMatrix:
+def _load_matrix(args: "_Args") -> "GeneratorMatrix":
     if args.matrix is not None:
-        # utf-8-sig also reads a file that an editor began with a byte-order mark
-        with open(args.matrix, "r", encoding="utf-8-sig") as handle:
-            return parse_matrix(handle.read())
+        # an editor may begin the file with a byte-order mark; dropping it here
+        # spares loading the utf-8-sig codec
+        with open(args.matrix, "r", encoding="utf-8") as handle:
+            return parse_matrix(handle.read().removeprefix("\ufeff"))
     name, _, num = args.construct.partition(":")
     try:
         k = int(num)
@@ -187,7 +187,7 @@ def _format_query(word: int, k: int, pretty: bool) -> str:
     return "".join(str(word >> i & 1) for i in range(k))
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: "_Args") -> int:
     from funcbatch import codecheck
 
     matrix = _load_matrix(args)
@@ -214,67 +214,148 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EX_UNDECIDED
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: "_Args") -> int:
     _write_text(args.out, format_matrix(_construct(args.which, args.k)))
     return EX_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+class _Args(dict):
+    """One command's flags, read as attributes named as argparse names them:
+    --budget-seconds is budget_seconds, and func is the command's handler."""
+
+    __getattr__ = dict.__getitem__
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="funcbatch", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="exact bounded-multiplicity labelling count")
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--t", type=int, required=True)
-    p_count.add_argument("--r", type=int, required=True)
-    p_count.set_defaults(func=_cmd_count)
-
-    p_minn = sub.add_parser("minn", help="minimal length under a chosen lower bound")
-    p_minn.add_argument("--k", type=int, required=True)
-    p_minn.add_argument("--t", type=int, required=True)
-    p_minn.add_argument("--r", type=int, default=None,
-                        help="recovery-set cap, default 2; sqrt and baseline fix their own")
-    p_minn.add_argument("--bound", choices=BOUND_IDS, required=True)
-    p_minn.set_defaults(func=_cmd_minn)
-
-    p_table = sub.add_parser("table", help="emit a bound comparison table as CSV")
-    p_table.add_argument("--which", type=int, choices=(2, 3), required=True)
-    p_table.add_argument("--out", default=None)
-    p_table.set_defaults(func=_cmd_table)
-
-    p_verify = sub.add_parser("verify", help="exhaustively check the disjoint-recovery property")
-    source = p_verify.add_mutually_exclusive_group(required=True)
-    source.add_argument("--matrix", default=None, help="matrix file path")
-    source.add_argument("--construct", default=None, help="simplex:K or double:K")
-    p_verify.add_argument("--t", type=int, required=True)
-    p_verify.add_argument("--r", type=int, required=True)
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument("--budget-seconds", type=float, default=None)
-    p_verify.add_argument("--budget-batches", type=int, default=None)
-    p_verify.add_argument("--deterministic", action="store_true",
-                          help="pure lex sweep; reports the least counterexample")
-    p_verify.add_argument("--pretty", action="store_true",
-                          help="print counterexample queries as bit strings")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_construct = sub.add_parser("construct", help="write a generator matrix file")
-    p_construct.add_argument("--which", choices=("simplex", "double"), required=True)
-    p_construct.add_argument("--k", type=int, required=True)
-    p_construct.add_argument("--out", default=None)
-    p_construct.set_defaults(func=_cmd_construct)
-
-    return parser
+# command -> (handler, help, flags, the flags of which exactly one must be given).
+# Each flag maps to (type, default, help...): the type is int, float or str, a
+# tuple of choices, or bool for a switch; a default of ... marks it required
+_COMMANDS = {
+    "count": (_cmd_count, "exact bounded-multiplicity labelling count",
+              {"--n": (int, ...), "--t": (int, ...), "--r": (int, ...)}, ()),
+    "minn": (_cmd_minn, "minimal length under a chosen lower bound",
+             {"--k": (int, ...), "--t": (int, ...),
+              "--r": (int, None, "recovery-set cap, default 2; sqrt and baseline fix their own"),
+              "--bound": (BOUND_IDS, ...)}, ()),
+    "table": (_cmd_table, "emit a bound comparison table as CSV",
+              {"--which": ((2, 3), ...), "--out": (str, None)}, ()),
+    "verify": (_cmd_verify, "exhaustively check the disjoint-recovery property",
+               {"--matrix": (str, None, "matrix file path"),
+                "--construct": (str, None, "simplex:K or double:K"),
+                "--t": (int, ...), "--r": (int, ...), "--jobs": (int, 1),
+                "--budget-seconds": (float, None), "--budget-batches": (int, None),
+                "--deterministic": (bool, False, "pure lex sweep; reports the least counterexample"),
+                "--pretty": (bool, False, "print counterexample queries as bit strings")},
+               ("--matrix", "--construct")),
+    "construct": (_cmd_construct, "write a generator matrix file",
+                  {"--which": (("simplex", "double"), ...), "--k": (int, ...),
+                   "--out": (str, None)}, ()),
+}
+_HELP = {"-h": (None, None), "--help": (None, None)}  # a type of None prints the usage
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+def _cmd_help(args: "_Args") -> int:
+    """Print every command and flag with its help; -h and --help run this."""
+    lines = [f"usage: funcbatch [-h] {{{','.join(_COMMANDS)}}} [--FLAG VALUE ...]", "", __doc__]
+    for name, (_, about, flags, pair) in _COMMANDS.items():
+        lines += ["", f"{name}: {about}"] + [f"  exactly one of {' and '.join(pair)}"] * bool(pair)
+        for flag, (kind, default, *note) in flags.items():
+            value = (" {%s}" % ",".join(map(str, kind)) if type(kind) is tuple
+                     else "" if kind is bool else " " + kind.__name__.upper())
+            lines.append(f"  {flag}{value}{' (required)' * (default is ...)}  {''.join(note)}".rstrip())
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EX_OK
+
+
+def _match(word: str, flags: dict) -> "tuple[str, str | None] | None":
+    """How argparse reads word: (flag, the text after '=' or None), ("", None) for an
+    unknown option, or None for a value, such as '-', a negative number or a spaced word.
+
+    Raises UsageError for a prefix of more than one flag.
+    """
+    if word[:1] != "-" or word in ("-", "--"):
+        return None
+    name, eq, text = word.partition("=")
+    if name in flags:
+        return name, text if eq else None
+    if word[1] == "-":
+        hits = [flag for flag in flags if flag.startswith(name)]
+    else:  # of the one-dash flags, -h alone: -hX is -h given the text X
+        hits, eq, text = [word[:2]] * (word[:2] in flags), True, word[2:]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {word} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], text if eq else None
+    rest = word[1:].removesuffix("\n")  # as the regular expression -\d+$ reads it
+    number = rest.replace(".", "", 1).isdecimal() and not rest.endswith(".")
+    return None if number or " " in word else ("", None)
+
+
+def _value(name: str, kind: object, text: str) -> object:
+    convert = type(kind[0]) if type(kind) is tuple else kind
     try:
-        args = parser.parse_args(argv)
+        value = convert(text)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {convert.__name__} value: {text!r}") from None
+    if type(kind) is tuple and value not in kind:
+        raise UsageError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+    return value
+
+
+def _parse(argv: "list[str]") -> _Args:
+    """The namespace of argv's command, or of help once -h or --help is read.
+
+    Reads argv as argparse did, and raises UsageError with the message of
+    the first error argparse reports: an unknown command, an ambiguous
+    prefix anywhere before a '--', then each flag from the left, then a
+    missing flag and last any word it could not place.
+    """
+    handler, pair, values, extras = None, (), {}, []
+    # until a command is read, the one thing required is the command itself
+    table, flags = {"command": (None, ...)}, _HELP
+    hits = [_match(word, flags) for word in argv]
+    i, cut = 0, len(argv)
+    while i < cut:
+        word, hit = argv[i], hits[i]
+        i += 1
+        if hit is None and handler is None and (word != "--" or i < len(argv)):
+            handler, _, table, pair = _COMMANDS[_value("command", tuple(_COMMANDS), word)]
+            flags = {**_HELP, **table}
+            # every word from a '--' on is a value, and so unrecognized
+            cut = argv.index("--", i) if "--" in argv[i:] else len(argv)
+            hits[i:cut] = [_match(word, flags) for word in argv[i:cut]]
+        elif not hit or not hit[0]:
+            extras.append(word)
+        else:
+            flag, text = hit
+            kind = flags[flag][0]
+            if kind is None and text:
+                text = text.lstrip("h") or None  # -hh is -h twice
+            if kind in (None, bool) and text is not None:
+                name = flag if kind else "-h/--help"
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            if kind is None:
+                return _Args(func=_cmd_help)
+            if kind is not bool and text is None:
+                if i == cut or hits[i] is not None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                text, i = argv[i], i + 1
+            values[flag] = True if kind is bool else _value(flag, kind, text)
+            if flag in pair and (other := pair[pair.index(flag) - 1]) in values:
+                raise UsageError(f"argument {flag}: not allowed with argument {other}")
+    if missing := [flag for flag, spec in table.items() if spec[1] is ... and flag not in values]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if pair and not values.keys() & set(pair):
+        raise UsageError(f"one of the arguments {' '.join(pair)} is required")
+    if extras + argv[cut:]:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras + argv[cut:])}")
+    return _Args({flag[2:].replace("-", "_"): values.get(flag, spec[1])
+                  for flag, spec in table.items()}, func=handler)
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except (MatrixFormatError, UnicodeDecodeError) as exc:
         # a matrix file that is not UTF-8 text is bad data too

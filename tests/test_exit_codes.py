@@ -2,8 +2,9 @@
 
 main returns one of the codes below and never raises.  verify's code is its
 verdict, with the verdict and any counterexample on stdout; a code of 64 or
-more leaves stdout empty and stderr exactly one 'error: ' line.  -h and
---help are left out: argparse exits through SystemExit by design.
+more leaves stdout empty and stderr exactly one 'error: ' line.  -h or
+--help, once read, prints the usage on stdout and returns 0, wherever it
+stands: a word before it may still be a usage error.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from funcbatch import BOUND_IDS
-from funcbatch.cli import EX_FALSIFIED, EX_OK, EX_UNDECIDED, format_matrix
+from funcbatch.cli import EX_FALSIFIED, EX_OK, EX_UNDECIDED, EX_USAGE, format_matrix
 from funcbatch.gf2 import GeneratorMatrix
 from test_cli import run_cli
 
@@ -39,8 +40,9 @@ def flags(draw, required, optional=()):
     """argv for one subcommand from (flag, values) pairs, in any order.
 
     A required flag is left out one time in ten, an optional one half the
-    time, and a word the parser does not know is added one time in eight.
-    values may give None for a flag that takes no value.
+    time, and a word the parser does not know, and -h or --help, are each
+    added one time in eight.  values may give None for a flag that takes no
+    value.
     """
     chosen = [pair for pair in required if draw(st.integers(0, 9)) < 9]
     chosen += [pair for pair in optional if draw(st.booleans())]
@@ -50,6 +52,7 @@ def flags(draw, required, optional=()):
         groups.append([flag] if value is None else [flag, value])
     groups += draw(mostly(st.just([]), st.sampled_from([[["--bogus"]], [["--bogus=1"]],
                                                         [["stray"]]])))
+    groups += draw(mostly(st.just([]), st.sampled_from([[["-h"]], [["--help"]]])))
     return [word for group in draw(st.permutations(groups)) for word in group]
 
 
@@ -94,7 +97,7 @@ def commands():
     return st.one_of(
         *(argv.map(lambda a, name=name: [name, *a]) for name, argv in argvs.items()),
         argvs["verify"].map(lambda a: ["verify", *a]),  # the most flags and outcomes, so twice
-        st.sampled_from([[], ["tabulate"], ["--bogus"]]),
+        st.sampled_from([[], ["tabulate"], ["--bogus"], ["-h"], ["--help", "tabulate"]]),
     )
 
 
@@ -113,6 +116,10 @@ def test_every_exit_code_keeps_the_contract(sandbox, matrix_file, argv):
     (sandbox / "m.txt").write_bytes(matrix_file)
     code, out, err = run_cli(*argv)
     assert code in EXIT_CODES
+    if {"-h", "--help"} & set(argv) and code < 64:
+        # a help word is never a flag's value, so a run that reads it prints only the usage
+        assert (code, out, err) == (EX_OK, run_cli("--help")[1], "")
+        return
     if code >= 64:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
@@ -126,3 +133,41 @@ def test_every_exit_code_keeps_the_contract(sandbox, matrix_file, argv):
         assert counterexample.count("\n") == 1 and counterexample.strip()
     else:
         assert counterexample == ""
+
+
+# every command, its help, and its flags in order
+COMMANDS = {
+    "count": ("exact bounded-multiplicity labelling count", ["--n", "--t", "--r"]),
+    "minn": ("minimal length under a chosen lower bound", ["--k", "--t", "--r", "--bound"]),
+    "table": ("emit a bound comparison table as CSV", ["--which", "--out"]),
+    "verify": ("exhaustively check the disjoint-recovery property",
+               ["--matrix", "--construct", "--t", "--r", "--jobs", "--budget-seconds",
+                "--budget-batches", "--deterministic", "--pretty"]),
+    "construct": ("write a generator matrix file", ["--which", "--k", "--out"]),
+}
+FLAG_HELP = [
+    "recovery-set cap, default 2; sqrt and baseline fix their own",
+    "matrix file path", "simplex:K or double:K",
+    "pure lex sweep; reports the least counterexample",
+    "print counterexample queries as bit strings",
+]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["verify", "-h"],
+                                  ["count", "--n", "1", "--help"], ["minn", "-hh"]])
+def test_help_names_every_command_and_flag(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (EX_OK, "")
+    assert out.startswith("usage: funcbatch [-h] {count,minn,table,verify,construct} ")
+    for command, (about, flags) in COMMANDS.items():
+        header, *lines = out.split(f"\n\n{command}: ")[1].split("\n\n")[0].splitlines()
+        assert header == about
+        assert [line.split()[0] for line in lines if line.startswith("  --")] == flags
+    assert "  exactly one of --matrix and --construct\n" in out
+    assert all(text in out for text in FLAG_HELP)
+
+
+@pytest.mark.parametrize("argv", [["count", "--n", "x", "-h"], ["-hx"], ["tabulate", "-h"]])
+def test_a_usage_error_before_help_wins(argv):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (EX_USAGE, "") and err.startswith("error: ")
