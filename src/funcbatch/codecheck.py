@@ -169,23 +169,32 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
     First grows the catalog until grow() returns False, so a partly built
-    one answers as build_catalog's would.  Backtracks over queries ordered
-    by ascending candidate count, copies of one query together; candidates
-    are tried smallest set first.  Prunes when the remaining queries'
-    minimum set sizes exceed the free columns, and a copy that follows a
-    copy of the same query tries only the candidates after the one that
-    copy took: copies share one candidate list and disjoint nonempty masks
-    are distinct, so any assignment can be reordered to take them in
-    increasing order and the search stays complete.  With a deadline (a
-    time.monotonic() value) the clock is read before and while each size is
-    built and every 256 search nodes, and TimeoutError is raised once it
-    has passed.
+    one answers as build_catalog's would, then runs _search.  With a
+    deadline (a time.monotonic() value) the clock is read before and while
+    each size is built and every 256 search nodes, and TimeoutError is
+    raised once it has passed.
     """
     for w in batch:
         if not isinstance(w, int) or not 1 <= w < 1 << catalog.k:
             raise ValueError(f"query {w!r} is not a nonzero {catalog.k}-bit vector")
     while catalog.grow(deadline):
         pass
+    return _search(catalog, batch, deadline)
+
+
+def _search(catalog: RecoveryCatalog, batch: Sequence[int],
+            deadline: Optional[float]) -> Optional[list[int]]:
+    """The complete search of find_disjoint_assignment on the catalog as it is built.
+
+    Backtracks over queries ordered by ascending candidate count, copies of
+    one query together; candidates are tried smallest set first.  Prunes
+    when the remaining queries' minimum set sizes exceed the free columns,
+    and a copy that follows a copy of the same query tries only the
+    candidates after the one that copy took: copies share one candidate
+    list and disjoint nonempty masks are distinct, so any assignment can be
+    reordered to take them in increasing order and the search stays
+    complete.  With a deadline the clock is read every 256 search nodes.
+    """
     cands = [catalog.sets.get(w, ()) for w in batch]
     if not all(cands):
         return None
@@ -364,8 +373,7 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
     that reaches the end picks exactly the sets it would pick with every
     size up to r built, and is a valid disjoint assignment.  On a miss
     grow() builds the next size and first fit runs again; once grow()
-    builds nothing, find_disjoint_assignment's complete search decides on
-    this catalog.  Raises TimeoutError once the deadline has passed: the
+    builds nothing, _search, the complete search, decides on this catalog.  Raises TimeoutError once the deadline has passed: the
     clock is read once before the batch, before and while each size is
     built, and every 256 search nodes.
     """
@@ -384,7 +392,7 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
         else:
             return True
         if not catalog.grow(deadline):
-            return find_disjoint_assignment(catalog, batch, deadline=deadline) is not None
+            return _search(catalog, batch, deadline) is not None
 
 
 # (stop, searched, failure) of one scan

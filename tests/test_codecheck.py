@@ -488,24 +488,48 @@ def test_time_budget_covers_the_complete_search(monkeypatch):
     batch = (1,) * 8 + (2,) * 8
     clock = [0.0]
     searched = []
-    real = codecheck.find_disjoint_assignment
+    real = codecheck._search
 
-    def search(catalog, b, **kwargs):
+    def search(catalog, b, deadline):
         searched.append(b)
         if b == batch:
             clock[0] = 100.0
-        return real(catalog, b, **kwargs)
+        return real(catalog, b, deadline)
 
     monkeypatch.setattr(codecheck.time, "monotonic", lambda: clock[0])
-    monkeypatch.setattr(codecheck, "find_disjoint_assignment", search)
+    monkeypatch.setattr(codecheck, "_search", search)
     v = verify(double_simplex(4), 16, 2, deterministic=True, budget_seconds=10)
     assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
         UNDECIDED, None, 116_280, 1014)
     assert searched[-1] == batch
     catalog = build_catalog(double_simplex(4), 2)
     with pytest.raises(TimeoutError):
-        real(catalog, batch, deadline=10.0)
-    assert real(catalog, batch, deadline=1000.0) is not None
+        find_disjoint_assignment(catalog, batch, deadline=10.0)
+    assert find_disjoint_assignment(catalog, batch, deadline=1000.0) is not None
+
+
+def test_a_complete_search_asks_grow_once(monkeypatch):
+    # once grow() builds nothing, _serves searches the catalog as it stands:
+    # the unreduced stretch sweep asks grow() for a size it cannot build once
+    # per batch that reaches the complete search, not again inside the search
+    no_ops, searches = [], []
+    real_grow, real_search = RecoveryCatalog.grow, codecheck._search
+
+    def grow(self, deadline=None):
+        built = real_grow(self, deadline)
+        no_ops.extend([()] * (not built))
+        return built
+
+    def search(catalog, batch, deadline):
+        searches.append(batch)
+        return real_search(catalog, batch, deadline)
+
+    monkeypatch.setattr(RecoveryCatalog, "grow", grow)
+    monkeypatch.setattr(codecheck, "_search", search)
+    v = verify(GeneratorMatrix(4, tuple(range(1, 16)) + (1,)), 8, 2)
+    assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
+        HOLDS, None, 15 + 319_770, 15 + 319_770)
+    assert len(no_ops) == len(searches) == 59_764
 
 
 def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
