@@ -56,9 +56,9 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        # the import statement's machinery, not importlib's: importing the package
-        # loads no module beyond it, and -X importtime lists the submodule
-        __import__(f"{__name__}.{name}")  # binds the submodule in globals()
+        # __import__, not importlib, so that importing the package loads no
+        # other module; the import binds the submodule in globals()
+        __import__(f"{__name__}.{name}")
         return globals()[name]
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

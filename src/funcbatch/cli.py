@@ -243,7 +243,8 @@ _COMMANDS = {
                 "--construct": (str, None, "simplex:K or double:K"),
                 "--t": (int, ...), "--r": (int, ...), "--jobs": (int, 1),
                 "--budget-seconds": (float, None), "--budget-batches": (int, None),
-                "--deterministic": (bool, False, "pure lex sweep; reports the least counterexample"),
+                "--deterministic": (bool, False,
+                                    "pure lex sweep; reports the least counterexample"),
                 "--pretty": (bool, False, "print counterexample queries as bit strings")},
                ("--matrix", "--construct")),
     "construct": (_cmd_construct, "write a generator matrix file",
@@ -257,11 +258,14 @@ def _cmd_help(args: "_Args") -> int:
     """Print every command and flag with its help; -h and --help run this."""
     lines = [f"usage: funcbatch [-h] {{{','.join(_COMMANDS)}}} [--FLAG VALUE ...]", "", __doc__]
     for name, (_, about, flags, pair) in _COMMANDS.items():
-        lines += ["", f"{name}: {about}"] + [f"  exactly one of {' and '.join(pair)}"] * bool(pair)
+        lines += ["", f"{name}: {about}"]
+        if pair:
+            lines.append(f"  exactly one of {' and '.join(pair)}")
         for flag, (kind, default, *note) in flags.items():
-            value = (" {%s}" % ",".join(map(str, kind)) if type(kind) is tuple
-                     else "" if kind is bool else " " + kind.__name__.upper())
-            lines.append(f"  {flag}{value}{' (required)' * (default is ...)}  {''.join(note)}".rstrip())
+            value = ("{%s}" % ",".join(map(str, kind)) if type(kind) is tuple
+                     else "" if kind is bool else kind.__name__.upper())
+            required = "(required)" if default is ... else ""
+            lines.append(" ".join(filter(None, ["  " + flag, value, required, *note])))
     sys.stdout.write("\n".join(lines) + "\n")
     return EX_OK
 

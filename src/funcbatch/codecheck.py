@@ -184,7 +184,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
 
 def _search(catalog: RecoveryCatalog, batch: Sequence[int],
             deadline: Optional[float]) -> Optional[list[int]]:
-    """The complete search of find_disjoint_assignment on the catalog as it is built.
+    """The complete search of find_disjoint_assignment, on the catalog as it stands.
 
     Backtracks over queries ordered by ascending candidate count, copies of
     one query together; candidates are tried smallest set first.  Prunes
@@ -373,9 +373,10 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
     that reaches the end picks exactly the sets it would pick with every
     size up to r built, and is a valid disjoint assignment.  On a miss
     grow() builds the next size and first fit runs again; once grow()
-    builds nothing, _search, the complete search, decides on this catalog.  Raises TimeoutError once the deadline has passed: the
-    clock is read once before the batch, before and while each size is
-    built, and every 256 search nodes.
+    builds nothing, _search, the complete search, decides on this catalog.
+    Raises TimeoutError once the deadline has passed: the clock is read once
+    before the batch, before and while each size is built, and every 256
+    search nodes.
     """
     sets = catalog.sets
     if deadline is not None and time.monotonic() > deadline:

@@ -674,8 +674,8 @@ def test_missing_subcommand_is_usage_error():
     assert code == EX_USAGE and "error:" in err
 
 
-# argparse's usage errors, byte for byte, as argv -> (exit code, stdout, stderr);
-# the same on CPython 3.10-3.13
+# the usage errors argparse gave while the CLI used it, byte for byte, as
+# argv -> (exit code, stdout, stderr)
 _V = ("verify", "--construct", "simplex:2", "--t", "2", "--r", "2")
 USAGE_GOLDENS = {
     (): (64, "", "error: the following arguments are required: command\n"),
@@ -690,7 +690,8 @@ USAGE_GOLDENS = {
         (64, "", "error: argument --n: invalid int value: 'x'\n"),
     _V + ("--budget-seconds", "soon"):
         (64, "", "error: argument --budget-seconds: invalid float value: 'soon'\n"),
-    ("table", "--which", "4"): (64, "", "error: argument --which: invalid choice: 4 (choose from 2, 3)\n"),
+    ("table", "--which", "4"):
+        (64, "", "error: argument --which: invalid choice: 4 (choose from 2, 3)\n"),
     ("table", "--which", "x"): (64, "", "error: argument --which: invalid int value: 'x'\n"),
     ("minn", "--k", "3", "--t", "2", "--bound", "nope"):
         (64, "", "error: argument --bound: invalid choice: 'nope' "

@@ -512,16 +512,18 @@ def test_a_complete_search_asks_grow_once(monkeypatch):
     # once grow() builds nothing, _serves searches the catalog as it stands:
     # the unreduced stretch sweep asks grow() for a size it cannot build once
     # per batch that reaches the complete search, not again inside the search
-    no_ops, searches = [], []
+    no_ops = searches = 0
     real_grow, real_search = RecoveryCatalog.grow, codecheck._search
 
     def grow(self, deadline=None):
+        nonlocal no_ops
         built = real_grow(self, deadline)
-        no_ops.extend([()] * (not built))
+        no_ops += not built
         return built
 
     def search(catalog, batch, deadline):
-        searches.append(batch)
+        nonlocal searches
+        searches += 1
         return real_search(catalog, batch, deadline)
 
     monkeypatch.setattr(RecoveryCatalog, "grow", grow)
@@ -529,7 +531,7 @@ def test_a_complete_search_asks_grow_once(monkeypatch):
     v = verify(GeneratorMatrix(4, tuple(range(1, 16)) + (1,)), 8, 2)
     assert (v.status, v.counterexample, v.assignments_checked, v.batches_searched) == (
         HOLDS, None, 15 + 319_770, 15 + 319_770)
-    assert len(no_ops) == len(searches) == 59_764
+    assert no_ops == searches == 59_764
 
 
 def test_verify_builds_only_the_sizes_its_batches_need(monkeypatch):
