@@ -5,6 +5,8 @@ BoundOutcome derives min_n and clamped from its fields, so it cannot
 disagree with itself.
 """
 
+import re
+
 import pytest
 
 from funcbatch import bounds
@@ -23,6 +25,50 @@ def records():
         bounds.r2_comparison_table()[0],
         bounds.chain_bound_table()[0],
     ]
+
+
+# each record type's fields, field defaults and repr, the repr with any
+# object address left out
+SHAPES = {
+    "GeneratorMatrix": (("k", "cols"), {}, "GeneratorMatrix(k=2, cols=(1, 2, 3))"),
+    "Verdict": (
+        ("status", "counterexample", "assignments_checked", "wall_time", "batches_searched"),
+        {"batches_searched": 0},
+        "Verdict(status='holds', counterexample=None, assignments_checked=12, wall_time=0.5,"
+        " batches_searched=3)"),
+    "BoundOutcome": (
+        ("bound_id", "raw_min_n", "applicability_floor", "vacuous", "rhs"), {},
+        "BoundOutcome(bound_id='chain', raw_min_n=7, applicability_floor=3, vacuous=False,"
+        " rhs=124)"),
+    "_Spec": (("floor", "lhs", "rhs"), {},
+              "_Spec(floor=<function <lambda>>, lhs=<function <lambda>>,"
+              " rhs=<function <lambda>>)"),
+    "R2ComparisonRow": (("k", "t", "sqrt_min", "exact_min", "construction"), {},
+                        "R2ComparisonRow(k=2, t=4, sqrt_min=5, exact_min=5, construction=6)"),
+    "ChainBoundRow": (
+        ("k", "baseline_min", "cells"), {},
+        "ChainBoundRow(k=5, baseline_min=7, cells=("
+        "BoundOutcome(bound_id='chain', raw_min_n=7, applicability_floor=3, vacuous=False,"
+        " rhs=124), "
+        "BoundOutcome(bound_id='chain', raw_min_n=6, applicability_floor=5, vacuous=False,"
+        " rhs=496), "
+        "BoundOutcome(bound_id='chain', raw_min_n=6, applicability_floor=5, vacuous=False,"
+        " rhs=496), "
+        "BoundOutcome(bound_id='chain', raw_min_n=7, applicability_floor=9, vacuous=True,"
+        " rhs=23808)))"),
+}
+
+
+@pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
+def test_record_fields_defaults_and_repr(record):
+    fields, defaults, text = SHAPES[type(record).__name__]
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert re.sub(r" at 0x[0-9a-fA-F]+", "", repr(record)) == text
+
+
+def test_every_record_type_is_pinned():
+    assert sorted(type(r).__name__ for r in records()) == sorted(SHAPES)
 
 
 @pytest.mark.parametrize("record", records(), ids=lambda r: type(r).__name__)
