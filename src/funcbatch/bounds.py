@@ -14,11 +14,10 @@ integer argument is checked by funcbatch.check_int, which raises ValueError
 naming a bad one.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Callable
 from math import factorial, inf
-from typing import Callable, NamedTuple
 
 from funcbatch import BOUND_IDS, MAX_DIMENSION, check_int
 
@@ -32,7 +31,8 @@ def _check_code(k: int, t: int, r: int) -> None:
     check_int("r", r, 1)
 
 
-class BoundOutcome(NamedTuple):
+class BoundOutcome(namedtuple("BoundOutcome",
+                              "bound_id raw_min_n applicability_floor vacuous rhs")):
     """Result of a minimal-length solver.
 
     raw_min_n is the uncapped solution of the bound inequality, and rhs the
@@ -44,11 +44,7 @@ class BoundOutcome(NamedTuple):
     certifies no unconditional minimum and renders as '-'.
     """
 
-    bound_id: str
-    raw_min_n: int
-    applicability_floor: int
-    vacuous: bool
-    rhs: int
+    __slots__ = ()
 
     @property
     def min_n(self) -> int:
@@ -113,12 +109,13 @@ def min_n_exact(k: int, t: int, r: int) -> int:
     return _least_passing(k, t, r)
 
 
-class _Spec(NamedTuple):
-    """A closed-form bound: least n >= 0 with lhs(n, t, r) >= rhs(2^k - 1, t, r)."""
+class _Spec(namedtuple("_Spec", "floor lhs rhs")):
+    """A closed-form bound: least n >= 0 with lhs(n, t, r) >= rhs(2^k - 1, t, r).
 
-    floor: Callable[[int, int], int]
-    lhs: Callable[[int, int, int], int]  # nondecreasing in n from 0
-    rhs: Callable[[int, int, int], int]
+    floor(t, r) is the applicability floor; lhs is nondecreasing in n from 0.
+    """
+
+    __slots__ = ()
 
 
 # q = 2^k - 1 is the number of nonzero queries
@@ -178,14 +175,10 @@ def construction_length(k: int) -> int:
     return (1 << (k + 1)) - 2
 
 
-class R2ComparisonRow(NamedTuple):
+class R2ComparisonRow(namedtuple("R2ComparisonRow", "k t sqrt_min exact_min construction")):
     """One row comparing lower bounds with the doubled-simplex length at cap 2."""
 
-    k: int
-    t: int
-    sqrt_min: int
-    exact_min: int
-    construction: int
+    __slots__ = ()
 
 
 def r2_comparison_table() -> list[R2ComparisonRow]:
@@ -211,12 +204,13 @@ def r2_comparison_table() -> list[R2ComparisonRow]:
 CHAIN_TABLE_CONFIGS: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 3), (2, 5))
 
 
-class ChainBoundRow(NamedTuple):
-    """One row of chain-bound minima next to the baseline bound at t = 2."""
+class ChainBoundRow(namedtuple("ChainBoundRow", "k baseline_min cells")):
+    """One row of chain-bound minima next to the baseline bound at t = 2.
 
-    k: int
-    baseline_min: int
-    cells: tuple[BoundOutcome, ...]
+    cells holds one BoundOutcome for each configuration of CHAIN_TABLE_CONFIGS.
+    """
+
+    __slots__ = ()
 
 
 def chain_bound_table() -> list[ChainBoundRow]:

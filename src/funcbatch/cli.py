@@ -4,8 +4,10 @@ import sys
 
 from funcbatch import BOUND_IDS
 
-# no import of typing, and no annotation evaluated at import, so that a launch
-# loads nothing the interpreter has not loaded already
+# the package's import rule: no module imports typing or __future__, so that a
+# launch loads only what it runs.  Annotations are evaluated, so a name they
+# need that is not loaded at run time (from typing, or an engine that a
+# command may not load) is quoted and imported only by a type checker
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from funcbatch.bounds import BoundOutcome
@@ -37,42 +39,38 @@ def parse_matrix(text: str) -> "GeneratorMatrix":
     """
     from funcbatch.gf2 import GeneratorMatrix
 
-    header: tuple[int, int] | None = None
-    cols: list[int] = []
-    row = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if header is None:
-            if len(parts) != 2:
-                raise MatrixFormatError("header must be 'k n'", line_no)
-            try:
-                k, n = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MatrixFormatError("header must hold two integers", line_no) from None
-            if k < 1 or n < 1:
-                raise MatrixFormatError("k and n must be positive", line_no)
-            header = (k, n)
-            continue
-        if row == header[0]:
+    # (line number, words) of each line that is neither blank nor a comment:
+    # split() and strip() drop the same whitespace
+    content = ((line_no, words)
+               for line_no, words in enumerate(map(str.split, text.splitlines()), start=1)
+               if words and not words[0].startswith("#"))
+    line_no, parts = next(content, (None, None))
+    if parts is None:
+        raise MatrixFormatError("missing 'k n' header")
+    if len(parts) != 2:
+        raise MatrixFormatError("header must be 'k n'", line_no)
+    try:
+        k, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise MatrixFormatError("header must hold two integers", line_no) from None
+    if k < 1 or n < 1:
+        raise MatrixFormatError("k and n must be positive", line_no)
+    cols, row = [], 0
+    for line_no, parts in content:
+        if row == k:
             raise MatrixFormatError("unexpected extra row", line_no)
-        if len(parts) != header[1]:
-            raise MatrixFormatError(f"expected {header[1]} entries, got {len(parts)}", line_no)
-        if row == 0:
-            cols = [0] * header[1]  # sized at the first row, never by a header alone
+        if len(parts) != n:
+            raise MatrixFormatError(f"expected {n} entries, got {len(parts)}", line_no)
+        cols = cols or [0] * n  # sized at the first row, never by a header alone
         for j, p in enumerate(parts):
             if p not in ("0", "1"):
                 raise MatrixFormatError(f"entries must be 0 or 1, got {p!r}", line_no)
             cols[j] |= (p == "1") << row
         row += 1
-    if header is None:
-        raise MatrixFormatError("missing 'k n' header")
-    if row != header[0]:
-        raise MatrixFormatError(f"expected {header[0]} rows, got {row}")
+    if row != k:
+        raise MatrixFormatError(f"expected {k} rows, got {row}")
     try:
-        return GeneratorMatrix(header[0], cols)
+        return GeneratorMatrix(k, cols)
     except ValueError as exc:
         raise MatrixFormatError(str(exc)) from None
 

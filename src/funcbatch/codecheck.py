@@ -31,18 +31,22 @@ So the first failing representative is the lex-least counterexample, and
 every multiset ranked below the next unchecked representative is settled.
 """
 
-from __future__ import annotations
-
 import marshal
 import os
 import time
-from collections import defaultdict
+from collections import defaultdict, namedtuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, combinations, combinations_with_replacement, islice
 from math import comb, isnan
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence
 
 from funcbatch import check_int
 from funcbatch.gf2 import GeneratorMatrix
+
+# NoReturn is quoted and imported only by a type checker: the package's import
+# rule, stated in funcbatch.cli
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -63,7 +67,7 @@ def double_simplex(k: int) -> GeneratorMatrix:
 
 
 def _level(matrix: GeneratorMatrix, size: int,
-           deadline: Optional[float] = None) -> defaultdict[int, list[int]]:
+           deadline: float | None = None) -> defaultdict[int, list[int]]:
     """The independent sets of exactly size columns, keyed by xor, each list in increasing mask order.
 
     Over GF(2) a column set is a minimal recovery set for its xor exactly
@@ -127,7 +131,7 @@ class RecoveryCatalog:
         self.size = 0
         self.sets: dict[int, tuple[int, ...]] = {}
 
-    def grow(self, deadline: Optional[float] = None) -> bool:
+    def grow(self, deadline: float | None = None) -> bool:
         """Append the sets of the next size to each query's sets; whether a size was built.
 
         At size min(r, n) it builds nothing and returns False.  Otherwise
@@ -165,7 +169,7 @@ def build_catalog(matrix: GeneratorMatrix, r: int) -> RecoveryCatalog:
 
 
 def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
-                             deadline: Optional[float] = None) -> Optional[list[int]]:
+                             deadline: float | None = None) -> list[int] | None:
     """Pairwise-disjoint recovery sets for the batch, one mask per query, or None.
 
     First grows the catalog until grow() returns False, so a partly built
@@ -183,7 +187,7 @@ def find_disjoint_assignment(catalog: RecoveryCatalog, batch: Sequence[int], *,
 
 
 def _search(catalog: RecoveryCatalog, batch: Sequence[int],
-            deadline: Optional[float]) -> Optional[list[int]]:
+            deadline: float | None) -> list[int] | None:
     """The complete search of find_disjoint_assignment, on the catalog as it stands.
 
     Backtracks over queries ordered by ascending candidate count, copies of
@@ -231,9 +235,12 @@ def _search(catalog: RecoveryCatalog, batch: Sequence[int],
     return chosen if extend(0, 0, 0) else None
 
 
-class Verdict(NamedTuple):
+class Verdict(namedtuple("Verdict", ("status", "counterexample", "assignments_checked",
+                                     "wall_time", "batches_searched"), defaults=(0,))):
     """Outcome of a verification sweep.
 
+    status is HOLDS, FAILS or UNDECIDED; counterexample is the failing batch
+    as a sorted tuple of query words, or None; wall_time is in seconds.
     assignments_checked counts the screened batches plus the length of the
     lex prefix of all multisets that the sweep settled, at every jobs: an
     undecided sweep resumes at the multiset whose rank is that count less
@@ -244,11 +251,7 @@ class Verdict(NamedTuple):
     workers of the unreduced sweep decided batches past the settled prefix.
     """
 
-    status: str
-    counterexample: Optional[tuple[int, ...]]
-    assignments_checked: int
-    wall_time: float
-    batches_searched: int = 0
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
@@ -364,7 +367,7 @@ def _worker_count(jobs: int) -> int:
     return max(1, min(jobs, cpus))
 
 
-def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[float]) -> bool:
+def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: float | None) -> bool:
     """Whether the batch admits disjoint recovery sets of size <= r.
 
     First fit decides most batches: the queries, last first, each take their
@@ -397,11 +400,11 @@ def _serves(catalog: RecoveryCatalog, batch: Sequence[int], deadline: Optional[f
 
 
 # (stop, searched, failure) of one scan
-ScanResult = tuple[int, int, Optional[tuple[int, ...]]]
+ScanResult = tuple[int, int, tuple[int, ...] | None]
 
 
 def _scan(catalog: RecoveryCatalog, pairs: Iterable[tuple[int, tuple[int, ...]]], limit: int,
-          deadline: Optional[float]) -> ScanResult:
+          deadline: float | None) -> ScanResult:
     """Decide the (rank, batch) pairs, in increasing rank order, ranked below limit.
 
     Returns (stop, searched, failure): stop is the first rank left
@@ -477,7 +480,7 @@ def _scan_forked(scan: Callable[[int], ScanResult], workers: int) -> list[ScanRe
                 os.waitpid(pid, 0)
 
 
-def _child_scan(scan: Callable[[int], ScanResult], i: int, write_end: int) -> NoReturn:
+def _child_scan(scan: Callable[[int], ScanResult], i: int, write_end: int) -> "NoReturn":
     """Body of forked worker i: send (True, scan(i)) or (False, a one-line error), then exit."""
     status = 1
     try:
@@ -496,8 +499,8 @@ def _child_scan(scan: Callable[[int], ScanResult], i: int, write_end: int) -> No
 def verify(matrix: GeneratorMatrix, t: int, r: int, *,
            deterministic: bool = False,
            jobs: int = 1,
-           budget_seconds: Optional[float] = None,
-           budget_batches: Optional[int] = None) -> Verdict:
+           budget_seconds: float | None = None,
+           budget_batches: int | None = None) -> Verdict:
     """Decide whether every batch of t queries admits disjoint recovery sets of size <= r.
 
     Sweeps all multisets of nonzero queries in lex order.  By default a
@@ -570,7 +573,7 @@ def verify(matrix: GeneratorMatrix, t: int, r: int, *,
     q = (1 << matrix.k) - 1
     checked = searched = 0
 
-    def verdict(status: str, counterexample: Optional[tuple[int, ...]] = None) -> Verdict:
+    def verdict(status: str, counterexample: tuple[int, ...] | None = None) -> Verdict:
         return Verdict(status, counterexample, checked, time.monotonic() - start_time, searched)
 
     def within_budget(size: int) -> int:

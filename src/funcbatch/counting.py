@@ -13,11 +13,9 @@ entry point, the counter returned included, checks its integer arguments
 with funcbatch.check_int: n and t nonnegative ints, r a positive int.
 """
 
-from __future__ import annotations
-
+from collections.abc import Callable, Iterator
 from itertools import islice
 from math import comb, factorial
-from typing import Callable, Iterator
 
 from funcbatch import check_int
 

@@ -6,21 +6,15 @@ dimension and length with funcbatch.check_int, and that each column is an
 int that fits the dimension; rank, that its mask is an int within the length.
 """
 
-from __future__ import annotations
-
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 from funcbatch import MAX_DIMENSION, check_int
 
 MAX_LENGTH = 128
 
 
-class _GeneratorMatrixFields(NamedTuple):
-    k: int
-    cols: tuple[int, ...]
-
-
-class GeneratorMatrix(_GeneratorMatrixFields):
+class GeneratorMatrix(namedtuple("GeneratorMatrix", "k cols")):
     """k x n matrix over GF(2) stored column-wise.
 
     Column order is part of the identity: recovery sets index positions,

@@ -25,13 +25,14 @@ ENGINES = ("bounds", "codecheck", "counting", "gf2")
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
-def launch(code):
-    """Run code in a fresh interpreter; returns (stdout lines before the last, loaded modules)."""
+def launch(code, *flags):
+    """Run code in a fresh interpreter given the flags; returns (stdout lines before the
+    last, loaded modules)."""
     script = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
+    proc = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *out, modules = proc.stdout.splitlines()
     return out, set(modules.split())
@@ -42,9 +43,9 @@ def pool_loaded(modules):
 
 
 @functools.cache
-def bare_modules():
+def bare_modules(*flags):
     """What an empty launch loads: site hooks differ between installations."""
-    return frozenset(launch("")[1])
+    return frozenset(launch("", *flags)[1])
 
 
 def test_package_import_loads_no_engine():
@@ -102,7 +103,8 @@ def test_minn_sqrt_and_baseline_leave_counting_unloaded(bound, min_n):
     assert "funcbatch.codecheck" not in modules
 
 
-def test_commands_load_only_the_package_and_stdlib(tmp_path):
+def run_every_command(tmp_path, *flags):
+    """Run each command once in one launch; returns the modules it loaded."""
     commands = [
         ["count", "--n", "9", "--t", "3", "--r", "3"],
         ["minn", "--k", "5", "--t", "32", "--bound", "exact"],
@@ -111,8 +113,14 @@ def test_commands_load_only_the_package_and_stdlib(tmp_path):
         ["construct", "--which", "double", "--k", "3", "--out", str(tmp_path / "d3.txt")],
         ["verify", "--matrix", str(tmp_path / "d3.txt"), "--t", "2", "--r", "2"],
     ]
-    out, modules = launch(f"from funcbatch import cli\nprint([cli.main(a) for a in {commands!r}])")
+    out, modules = launch(f"from funcbatch import cli\nprint([cli.main(a) for a in {commands!r}])",
+                          *flags)
     assert out[-1] == "[0, 0, 0, 0, 0, 0]"
+    return modules
+
+
+def test_commands_load_only_the_package_and_stdlib(tmp_path):
+    modules = run_every_command(tmp_path)
     # site hooks of the installation load modules before any code runs
     extra = {m for m in modules - bare_modules()
              if m.split(".")[0] not in ("funcbatch", *sys.stdlib_module_names)}
@@ -120,6 +128,14 @@ def test_commands_load_only_the_package_and_stdlib(tmp_path):
     # no parser library, and a --matrix file is read without the utf-8-sig codec
     unwanted = {"argparse", "gettext", "locale", "encodings.utf_8_sig"}
     assert unwanted & (modules - bare_modules()) == set()
+
+
+def test_commands_load_no_typing_without_site(tmp_path):
+    # site hooks may load typing themselves, so -S shows what the package
+    # loads: no module imports typing or __future__, nor so what typing loads
+    modules = run_every_command(tmp_path, "-S")
+    unwanted = {"typing", "__future__", "re", "enum", "warnings"}
+    assert unwanted & (modules - bare_modules("-S")) == set()
 
 
 def test_bench_tracer_targets_resolve():
