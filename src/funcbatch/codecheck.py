@@ -235,8 +235,9 @@ def _search(catalog: RecoveryCatalog, batch: Sequence[int],
     return chosen if extend(0, 0, 0) else None
 
 
-class Verdict(namedtuple("Verdict", ("status", "counterexample", "assignments_checked",
-                                     "wall_time", "batches_searched"), defaults=(0,))):
+class Verdict(namedtuple("Verdict",
+                         "status counterexample assignments_checked wall_time batches_searched",
+                         defaults=(0,))):
     """Outcome of a verification sweep.
 
     status is HOLDS, FAILS or UNDECIDED; counterexample is the failing batch

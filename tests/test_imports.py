@@ -26,8 +26,10 @@ POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
 def launch(code, *flags):
-    """Run code in a fresh interpreter given the flags; returns (stdout lines before the
-    last, loaded modules)."""
+    """Run code in a fresh interpreter started with the flags.
+
+    Returns (stdout lines before the last, loaded modules).
+    """
     script = f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -132,7 +134,8 @@ def test_commands_load_only_the_package_and_stdlib(tmp_path):
 
 def test_commands_load_no_typing_without_site(tmp_path):
     # site hooks may load typing themselves, so -S shows what the package
-    # loads: no module imports typing or __future__, nor so what typing loads
+    # loads: no module imports typing or __future__, so nothing typing
+    # imports is loaded either
     modules = run_every_command(tmp_path, "-S")
     unwanted = {"typing", "__future__", "re", "enum", "warnings"}
     assert unwanted & (modules - bare_modules("-S")) == set()
